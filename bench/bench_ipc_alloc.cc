@@ -6,8 +6,8 @@
 // (the paper's §3.4 point: hot-path kernel objects want per-processor
 // caching, not a shared freelist). Each CPU point runs two legs:
 //
-//   magazines off — every kmsg alloc/free pays the legacy depot price
-//     (kCycKmsgAlloc / kCycKmsgFree per element);
+//   magazines off — kmsg_magazine_depth = 0, so every kmsg alloc/free pays
+//     the bare depot price (kCycKmsgAlloc / kCycKmsgFree per element);
 //   magazines on  — the common case hits the CPU-local magazine
 //     (kCycKmsgMagazineHit); only refills/flushes pay the zone lock.
 //
@@ -58,7 +58,9 @@ Leg RunLeg(int cpus, bool magazines, int scale) {
   KernelConfig config;
   config.model = ControlTransferModel::kMach25;
   config.ncpu = cpus;
-  config.ipc_kmsg_zones = magazines;
+  if (!magazines) {
+    config.kmsg_magazine_depth = 0;
+  }
 
   ZoneCapture zones;
   WorkloadParams params;

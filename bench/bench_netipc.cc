@@ -3,12 +3,11 @@
 // drop rates. Every point is bit-deterministic for a fixed (scale, seed):
 // same sequence of drops, same retransmit schedule, same virtual time.
 //
-// Each drop point runs twice — once on the v2 selective-repeat engine
-// (SACK + piggybacked acks + frame coalescing + lazy-pull OOL) and once on
-// the legacy go-back-N ablation (--netipc-gbn) — so the sweep doubles as the
-// protocol comparison: v2 holds throughput under loss where go-back-N's
-// head-of-line timeouts resend whole windows. The SLO tracker rides along
-// and reports the whole-run rpc p99 per point. A second small sweep runs the
+// Each drop point runs the selective-repeat engine (SACK + piggybacked acks
+// + frame coalescing + lazy-pull OOL). The go-back-N engine it replaced is
+// gone; its numbers survive as frozen history in baselines/netipc.json,
+// which the perf gate compares against. The SLO tracker rides along and
+// reports the whole-run rpc p99 per point. A second small sweep runs the
 // OOL-heavy shape (every other request ships a 4 KiB region the server
 // touches) to exercise the lazy-pull path under loss.
 //
@@ -36,14 +35,13 @@ struct PointResult {
   NetStats net;
 };
 
-PointResult RunPoint(std::uint32_t drop_per_mille, int scale, bool gbn,
+PointResult RunPoint(std::uint32_t drop_per_mille, int scale,
                      std::uint32_t ool_bytes) {
   PointResult p;
   p.drop_per_mille = drop_per_mille;
 
   KernelConfig config;
   config.seed = kSeed;
-  config.netipc_gbn = gbn;
   config.slo_window = 200000;  // Arms the tracker; the p99 read is whole-run.
   LinkConfig link;
   link.drop_per_mille = drop_per_mille;
@@ -83,21 +81,20 @@ int Main(int argc, char** argv) {
       "netipc: cross-node RPC throughput vs link loss "
       "(%d nodes, scale %d, seed %llu)\n\n",
       kNodes, scale, static_cast<unsigned long long>(kSeed));
-  std::printf("%9s %8s %12s %12s %8s %8s %8s %6s %6s %8s %9s\n", "drop/1000",
-              "RPCs", "v2 RPC/Mt", "gbn RPC/Mt", "rpc-p99", "retx", "fast",
-              "apig", "coal", "giveups", "bytes_tx");
+  std::printf("%9s %8s %12s %8s %8s %8s %6s %6s %8s %9s\n", "drop/1000",
+              "RPCs", "v2 RPC/Mt", "rpc-p99", "retx", "fast", "apig", "coal",
+              "giveups", "bytes_tx");
 
   std::string point_json = "[";
   double base = 0.0;
   for (std::size_t i = 0; i < kNumPoints; ++i) {
-    PointResult p = RunPoint(kDropPoints[i], scale, /*gbn=*/false, 0);
-    PointResult g = RunPoint(kDropPoints[i], scale, /*gbn=*/true, 0);
+    PointResult p = RunPoint(kDropPoints[i], scale, 0);
     if (base == 0.0) {
       base = p.rpc_per_mtick;
     }
-    std::printf("%9u %8llu %12.2f %12.2f %8llu %8llu %8llu %6llu %6llu %8llu %9llu\n",
+    std::printf("%9u %8llu %12.2f %8llu %8llu %8llu %6llu %6llu %8llu %9llu\n",
                 p.drop_per_mille, static_cast<unsigned long long>(p.rpcs),
-                p.rpc_per_mtick, g.rpc_per_mtick,
+                p.rpc_per_mtick,
                 static_cast<unsigned long long>(p.rpc_p99),
                 static_cast<unsigned long long>(p.net.retransmits),
                 static_cast<unsigned long long>(p.net.fast_retransmits),
@@ -114,8 +111,7 @@ int Main(int argc, char** argv) {
         "\"retransmits\":%llu,\"fast_retransmits\":%llu,"
         "\"acks_piggybacked\":%llu,\"frames_coalesced\":%llu,"
         "\"give_ups\":%llu,\"packets_tx\":%llu,\"bytes_tx\":%llu,"
-        "\"bytes_goodput\":%llu,\"gbn_rpc_per_mtick\":%.4f,"
-        "\"gbn_bytes_tx\":%llu}",
+        "\"bytes_goodput\":%llu}",
         i == 0 ? "" : ",", p.drop_per_mille,
         static_cast<unsigned long long>(p.rpcs),
         static_cast<unsigned long long>(p.virtual_time), p.rpc_per_mtick,
@@ -128,8 +124,7 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(p.net.give_ups),
         static_cast<unsigned long long>(p.net.packets_tx),
         static_cast<unsigned long long>(p.net.bytes_tx),
-        static_cast<unsigned long long>(p.net.bytes_goodput),
-        g.rpc_per_mtick, static_cast<unsigned long long>(g.net.bytes_tx));
+        static_cast<unsigned long long>(p.net.bytes_goodput));
     point_json += buf;
   }
   point_json += "]";
@@ -143,7 +138,7 @@ int Main(int argc, char** argv) {
   std::string ool_json = "[";
   for (std::size_t i = 0;
        i < sizeof(kOolDropPoints) / sizeof(kOolDropPoints[0]); ++i) {
-    PointResult p = RunPoint(kOolDropPoints[i], scale, /*gbn=*/false, 4096);
+    PointResult p = RunPoint(kOolDropPoints[i], scale, 4096);
     std::printf("%9u %8llu %12.2f %8llu %9llu %10llu %8llu\n",
                 p.drop_per_mille, static_cast<unsigned long long>(p.rpcs),
                 p.rpc_per_mtick, static_cast<unsigned long long>(p.rpc_p99),

@@ -27,11 +27,11 @@ void RequeuePreempted(Kernel& k, Thread* thread) {
 }
 
 // Consults the recognition table for `resumed`'s continuation; returns only
-// when no specialized handler completed the resume (no entry, table or
-// recognition disabled, or the handler declined). `charged` says the caller
-// already paid the recognition-check cycles — the legacy fast-path sites
-// charge unconditionally (preserving their pre-table cost model), while the
-// scheduler handoff path pays only when a handler actually exists.
+// when no specialized handler completed the resume (no entry, recognition
+// disabled, or the handler declined). `charged` says the caller already paid
+// the recognition-check cycles — the mach_msg and exception fast-path sites
+// charge unconditionally, while the scheduler handoff path pays only when a
+// handler actually exists.
 void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
   if (!k.config().enable_recognition) {
     return;
@@ -143,14 +143,8 @@ void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
       // Scheduler-path recognition: the resumed thread's continuation may
       // have a specialized handler (the generalized §2.4 — recognition is no
       // longer exclusive to the RPC handoff site). With recognition off or
-      // no handler registered this costs nothing, keeping the ablation runs
-      // byte-identical.
-      // This consult site did not exist before the recognition table: gate
-      // it on the table feature so --no-recognition-table keeps exactly the
-      // pre-table dispatch sites.
-      if (k.config().enable_recognition_table) {
-        ConsultHandoffRecognition(k, new_thread, /*charged=*/false);
-      }
+      // no handler registered this costs nothing.
+      ConsultHandoffRecognition(k, new_thread, /*charged=*/false);
       CallContinuation(TakeContinuation(new_thread));
       // NOTREACHED
     }

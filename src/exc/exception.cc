@@ -165,14 +165,11 @@ void ExceptionReplyContinue() {
   ++k.exc_stats().queued_deliveries;
   KMessage* kmsg = k.ipc().AllocKmsg(sizeof(req));  // May block (kMemoryAlloc).
   // The allocation can block, and the exception port may die meanwhile —
-  // with port_generations its slot may even be reclaimed (the cached
-  // pointer dangles), so revalidate by name; an unreachable handler means
-  // the exception goes unhandled, as if the port had been dead at raise
-  // time. Without the flag the dead Port object is pinned in its slot and
-  // the legacy behavior — queue onto it — is preserved exactly.
-  if (Port* revalidated = k.ipc().Lookup(hdr.dest)) {
-    exc_port = revalidated;
-  } else if (k.config().port_generations) {
+  // its slot reclaimed and the cached pointer dangling — so revalidate by
+  // name; an unreachable handler means the exception goes unhandled, as if
+  // the port had been dead at raise time.
+  exc_port = k.ipc().Lookup(hdr.dest);
+  if (exc_port == nullptr) {
     k.ipc().FreeKmsg(kmsg);
     ++k.exc_stats().unhandled;
     k.ThreadTerminateSelf();

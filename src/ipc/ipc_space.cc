@@ -13,10 +13,7 @@ namespace mkc {
 
 IpcSpace::IpcSpace(Kernel& kernel, std::size_t kmsg_zone_limit)
     : kernel_(kernel), kmsg_zone_limit_(kmsg_zone_limit) {
-  // With the zones flag off every kmsg comes from the full-size depot with
-  // no magazines, which charges exactly the legacy per-element costs.
-  const std::size_t depth =
-      kernel.config().ipc_kmsg_zones ? kernel.config().kmsg_magazine_depth : 0;
+  const std::size_t depth = kernel.config().kmsg_magazine_depth;
   kmsg_small_zone_ = std::make_unique<Zone>(kernel, "kmsg.small",
                                             sizeof(KMessage) + kSmallKmsgBytes, depth,
                                             kCycKmsgAlloc, kCycKmsgFree);
@@ -44,12 +41,6 @@ IpcSpace::~IpcSpace() {
 PortId IpcSpace::AllocatePort(Task* owner) {
   auto port = std::make_unique<Port>();
   port->owner = owner;
-  if (!kernel_.config().port_generations) {
-    // Legacy namespace: the table only grows and names are bare indices.
-    port->id = static_cast<PortId>(ports_.size() + 1);
-    ports_.push_back(std::move(port));
-    return ports_.back()->id;
-  }
   if (!free_slots_.empty()) {
     std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -59,7 +50,7 @@ PortId IpcSpace::AllocatePort(Task* owner) {
   }
   std::uint32_t slot = static_cast<std::uint32_t>(ports_.size());
   MKC_ASSERT_MSG(slot + 1 < kPortIndexMask, "port table exceeds the 20-bit name space");
-  port->id = MakePortId(slot, 0);  // Generation 0 == the legacy slot+1 name.
+  port->id = MakePortId(slot, 0);
   ports_.push_back(std::move(port));
   port_gens_.push_back(0);
   return ports_.back()->id;
@@ -96,13 +87,6 @@ KernReturn IpcSpace::RemoveFromSet(PortId port_id) {
 }
 
 Port* IpcSpace::Lookup(PortId id) {
-  if (!kernel_.config().port_generations) {
-    if (id == kInvalidPort || id > ports_.size()) {
-      return nullptr;
-    }
-    Port* port = ports_[id - 1].get();
-    return (port != nullptr && port->alive) ? port : nullptr;
-  }
   std::uint32_t slot = PortSlotOf(id);
   if (slot >= ports_.size()) {  // Also rejects kInvalidPort (slot == ~0u).
     return nullptr;
@@ -139,9 +123,6 @@ void IpcSpace::DestroyPort(PortId id) {
   while (Thread* sender = port->blocked_senders.DequeueHead()) {
     sender->wait_result = KernReturn::kSendInvalidDest;
     kernel_.ThreadSetrun(sender);
-  }
-  if (!kernel_.config().port_generations) {
-    return;  // Legacy: the dead Port object stays in its slot forever.
   }
   // Detach set relationships in both directions before the object dies: a
   // member must not keep a back-pointer into a reclaimed set, and a dead
@@ -184,7 +165,7 @@ bool IpcSpace::AbortThreadWait(Thread* thread) {
 }
 
 Zone& IpcSpace::ZoneForBody(std::uint32_t body_bytes) {
-  if (kernel_.config().ipc_kmsg_zones && body_bytes <= kSmallKmsgBytes) {
+  if (body_bytes <= kSmallKmsgBytes) {
     return *kmsg_small_zone_;
   }
   return *kmsg_full_zone_;

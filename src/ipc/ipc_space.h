@@ -35,8 +35,8 @@ class IpcSpace {
   IpcSpace& operator=(const IpcSpace&) = delete;
 
   // Creates a port owned by `owner` (may be null for kernel-internal ports).
-  // With config.port_generations the name comes from the slot freelist and
-  // carries the slot's current generation; otherwise the table only grows.
+  // The name comes from the slot freelist and carries the slot's current
+  // generation.
   PortId AllocatePort(Task* owner);
 
   // Creates a port set: receivers on the set get messages sent to any
@@ -53,9 +53,9 @@ class IpcSpace {
   Port* Lookup(PortId id);
 
   // Marks the port dead: flushes queued messages and fails out any waiting
-  // receivers with kRcvPortDied. With port_generations the slot is then
-  // reclaimed (the Port object is freed and the generation bumped, so stale
-  // names miss) and pushed on the freelist for O(1) reuse.
+  // receivers with kRcvPortDied. The slot is then reclaimed (the Port
+  // object is freed and the generation bumped, so stale names miss) and
+  // pushed on the freelist for O(1) reuse.
   void DestroyPort(PortId id);
 
   // Dead-name notification: invoked at the top of DestroyPort for every port
@@ -77,7 +77,7 @@ class IpcSpace {
   bool AbortThreadWait(Thread* thread);
 
   // kmsg zones, size-classed by body bytes (≤ kSmallKmsgBytes rides the
-  // small zone when config.ipc_kmsg_zones is on). Allocate may block
+  // small zone). Allocate may block
   // (process model, kMemoryAlloc) when the shared in-flight cap is hit —
   // one of the paper's non-continuation block sites.
   KMessage* AllocKmsg(std::uint32_t body_bytes = kMaxInlineBytes);
@@ -97,7 +97,7 @@ class IpcSpace {
   void ResetZoneStats();
 
   // Port-table shape, for tests and Table 5 accounting: total slots ever
-  // carved and how many currently hold a live-or-dead Port object.
+  // carved and how many sit reclaimed on the freelist.
   std::size_t port_table_size() const { return ports_.size(); }
   std::size_t port_slots_free() const { return free_slots_.size(); }
 

@@ -264,8 +264,7 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
       return t->wait_result;
     }
     // The block may have outlived the port: revalidate the name instead of
-    // the cached pointer, which dangles once DestroyPort reclaims the slot
-    // (port_generations). A destroyed port fails the lookup in every mode.
+    // the cached pointer, which dangles once DestroyPort reclaims the slot.
     port = k.ipc().Lookup(msg->header.dest);
     if (port == nullptr) {
       return KernReturn::kSendInvalidDest;
@@ -284,14 +283,10 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
     }
   }
   // The kmsg allocation, kernel-buffer touch and OOL capture above can all
-  // block, and the destination may die meanwhile. With port_generations the
-  // slot may even be reclaimed (the cached pointer dangles), so revalidate
-  // by name and fail the send. Without it the dead Port object is pinned in
-  // its slot forever, and the legacy behavior — enqueue onto the dead port —
-  // is preserved exactly.
-  if (Port* revalidated = k.ipc().Lookup(msg->header.dest)) {
-    port = revalidated;
-  } else if (k.config().port_generations) {
+  // block, and the destination may die meanwhile — its slot reclaimed and
+  // the cached pointer dangling — so revalidate by name and fail the send.
+  port = k.ipc().Lookup(msg->header.dest);
+  if (port == nullptr) {
     k.ipc().FreeKmsg(kmsg);
     return KernReturn::kSendInvalidDest;
   }

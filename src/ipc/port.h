@@ -15,7 +15,7 @@ struct Task;
 
 // Generation-tagged port names. A PortId packs (generation << 20) |
 // (slot + 1): 20 bits of table index, 12 bits of generation. A fresh slot
-// starts at generation 0, so its name equals the legacy slot+1 encoding;
+// starts at generation 0, so its name is simply slot + 1;
 // DestroyPort bumps the slot's generation, so any name minted before the
 // destroy decodes to a mismatched generation and Lookup fails it — stale
 // names are detected in O(1) while the slot itself is reused immediately.

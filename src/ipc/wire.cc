@@ -18,36 +18,29 @@ bool KindCarriesBody(std::uint32_t kind) {
 
 std::uint32_t WireSerialize(const WireHeader& header, const void* body,
                             std::uint32_t body_bytes, std::byte* out,
-                            std::uint32_t out_capacity,
-                            std::uint32_t header_bytes) {
-  const std::uint32_t total = header_bytes + body_bytes;
+                            std::uint32_t out_capacity) {
+  const std::uint32_t total = kWireHeaderBytes + body_bytes;
   if (total > out_capacity) {
     return 0;
   }
-  std::memcpy(out, &header, header_bytes);
+  std::memcpy(out, &header, kWireHeaderBytes);
   if (body_bytes > 0) {
-    std::memcpy(out + header_bytes, body, body_bytes);
+    std::memcpy(out + kWireHeaderBytes, body, body_bytes);
   }
   return total;
 }
 
 bool WireDeserialize(const std::byte* bytes, std::uint32_t len, WireHeader* header,
-                     const std::byte** body, std::uint32_t* body_bytes,
-                     std::uint32_t header_bytes) {
-  if (len < header_bytes) {
+                     const std::byte** body, std::uint32_t* body_bytes) {
+  if (len < kWireHeaderBytes) {
     return false;
   }
-  *header = WireHeader{};  // Zero the v2 extension for legacy packets.
-  std::memcpy(header, bytes, header_bytes);
-  const std::uint32_t max_kind =
-      header_bytes == kWireHeaderBytesGbn
-          ? static_cast<std::uint32_t>(WireKind::kPortDeath)
-          : static_cast<std::uint32_t>(WireKind::kOolData);
+  std::memcpy(header, bytes, kWireHeaderBytes);
   if (header->kind < static_cast<std::uint32_t>(WireKind::kData) ||
-      header->kind > max_kind) {
+      header->kind > static_cast<std::uint32_t>(WireKind::kOolData)) {
     return false;
   }
-  const std::uint32_t payload = len - header_bytes;
+  const std::uint32_t payload = len - kWireHeaderBytes;
   if (KindCarriesBody(header->kind)) {
     // A payload-carrying packet's mach header records the inline body size;
     // the packet length must agree or the message was truncated in flight.
@@ -57,7 +50,7 @@ bool WireDeserialize(const std::byte* bytes, std::uint32_t len, WireHeader* head
   } else if (payload != 0) {
     return false;
   }
-  *body = payload > 0 ? bytes + header_bytes : nullptr;
+  *body = payload > 0 ? bytes + kWireHeaderBytes : nullptr;
   *body_bytes = payload;
   return true;
 }

@@ -9,15 +9,10 @@
 // byte-exactly — including the PR-3 causal span id riding in the mach
 // header, which is how one RPC stays one span chain across nodes.
 //
-// Two wire formats coexist:
-//   - the legacy go-back-N format: the first 48 bytes of WireHeader, kinds
-//     kData..kPortDeath only. Selected with header_bytes =
-//     kWireHeaderBytesGbn; byte-identical to the pre-selective-repeat
-//     protocol (the --netipc-gbn ablation contract).
-//   - the v2 selective-repeat format: the full 64-byte header. The 16-byte
-//     extension piggybacks a cumulative ack + SACK bitmap on every
-//     sequenced packet and carries the lazy-OOL pull cookie; three new
-//     kinds (FRAME_BATCH, OOL_PULL, OOL_DATA) ride it.
+// The header is 64 bytes: a 48-byte base (kind, node, seq, mach header)
+// plus a 16-byte extension that piggybacks a cumulative ack + SACK bitmap
+// on every sequenced packet and carries the lazy-OOL pull cookie used by
+// the FRAME_BATCH, OOL_PULL and OOL_DATA kinds.
 #ifndef MACHCONT_SRC_IPC_WIRE_H_
 #define MACHCONT_SRC_IPC_WIRE_H_
 
@@ -33,7 +28,6 @@ enum class WireKind : std::uint32_t {
   kAck = 2,         // Cumulative acknowledgement: seq = highest in-order seq.
   kDead = 3,        // DATA `seq` was delivered to a dead port (also acks ≤ seq).
   kPortDeath = 4,   // Port `seq` on src_node died: GC proxies for it.
-  // v2-only kinds below; the legacy deserializer rejects them.
   kFrameBatch = 5,  // Coalesced frame: payload = [u32 len][packet] entries.
   kOolPull = 6,     // Lazy-OOL pull request for cookie `ool_cookie`; sequenced.
   kOolData = 7,     // Lazy-OOL payload chunk; sequenced. msg_id = byte offset.
@@ -46,7 +40,7 @@ struct WireHeader {
   std::uint32_t reply_node = 0;  // DATA: node the mach reply port lives on.
   std::uint32_t ool_size = 0;    // DATA: out-of-line payload bytes (0 = none).
   MessageHeader mach;            // DATA: the forwarded mach header.
-  // ---- v2 extension (absent from the legacy 48-byte format) ----
+  // ---- extension: selective-repeat acks and the lazy-OOL cookie ----
   std::uint64_t sack = 0;        // Bit i set: seq `ack + 1 + i` is buffered
                                  // out-of-order at the receiver.
   std::uint32_t ack = 0;         // Cumulative ack: highest in-order seq
@@ -56,45 +50,34 @@ struct WireHeader {
                                  // OOL_PULL/OOL_DATA: the cookie pulled.
 };
 
-// The mach header is seven naturally-aligned 32-bit words and the legacy
-// wire header five more; the v2 extension starts 8-aligned at offset 48
-// (u64 + 2×u32). Both layouts are padding-free, so memcpy round-trips are
+// The mach header is seven naturally-aligned 32-bit words and the base
+// wire header five more; the extension starts 8-aligned at offset 48
+// (u64 + 2×u32). The layout is padding-free, so memcpy round-trips are
 // byte-exact by construction.
 static_assert(sizeof(MessageHeader) == 28, "mach header layout drifted");
 static_assert(sizeof(WireHeader) == 64, "wire header layout drifted");
-static_assert(offsetof(WireHeader, sack) == 48, "v2 extension moved");
-static_assert(offsetof(WireHeader, ack) == 56, "v2 extension moved");
-static_assert(offsetof(WireHeader, ool_cookie) == 60, "v2 extension moved");
+static_assert(offsetof(WireHeader, sack) == 48, "wire extension moved");
+static_assert(offsetof(WireHeader, ack) == 56, "wire extension moved");
+static_assert(offsetof(WireHeader, ool_cookie) == 60, "wire extension moved");
 
 inline constexpr std::uint32_t kWireHeaderBytes = sizeof(WireHeader);
-// The legacy go-back-N header: everything before the v2 extension.
-inline constexpr std::uint32_t kWireHeaderBytesGbn = offsetof(WireHeader, sack);
 
 // Largest body a wire packet can carry: the whole packet must fit a
 // full-size kmsg element. Cross-node sends above this fail at the proxy
-// (documented in docs/INTERNALS.md). Legacy-format packets get 16 more
-// bytes of body headroom.
+// (documented in docs/INTERNALS.md).
 inline constexpr std::uint32_t kMaxWireBody = kMaxInlineBytes - kWireHeaderBytes;
-inline constexpr std::uint32_t kMaxWireBodyGbn =
-    kMaxInlineBytes - kWireHeaderBytesGbn;
 
-// Serializes `header` (+ `body_bytes` of `body`) into `out`. `header_bytes`
-// selects the format: kWireHeaderBytes (v2, default) or kWireHeaderBytesGbn
-// (legacy prefix only). Returns the packet length, or 0 if it does not fit
-// `out_capacity`.
+// Serializes `header` (+ `body_bytes` of `body`) into `out`. Returns the
+// packet length, or 0 if it does not fit `out_capacity`.
 std::uint32_t WireSerialize(const WireHeader& header, const void* body,
                             std::uint32_t body_bytes, std::byte* out,
-                            std::uint32_t out_capacity,
-                            std::uint32_t header_bytes = kWireHeaderBytes);
+                            std::uint32_t out_capacity);
 
-// Parses a packet of the format selected by `header_bytes`. On success
-// `*header` is filled (v2 extension fields zeroed for legacy packets),
-// `*body` points into `bytes` (null for control packets) and `*body_bytes`
-// is the body length. Returns false for truncated or inconsistent packets,
-// and for v2-only kinds in the legacy format.
+// Parses a packet. On success `*header` is filled, `*body` points into
+// `bytes` (null for control packets) and `*body_bytes` is the body length.
+// Returns false for truncated or inconsistent packets and unknown kinds.
 bool WireDeserialize(const std::byte* bytes, std::uint32_t len, WireHeader* header,
-                     const std::byte** body, std::uint32_t* body_bytes,
-                     std::uint32_t header_bytes = kWireHeaderBytes);
+                     const std::byte** body, std::uint32_t* body_bytes);
 
 }  // namespace mkc
 

@@ -98,18 +98,13 @@ Kernel::Kernel(const KernelConfig& config)
   RegisterMetrics();  // After the subsystems exist: counters are views.
   RegisterContinuations();
   // Generalized recognition (kern/recognition.h): core specialized resume
-  // handlers, registered in hotness order so the legacy mach_msg fast path
-  // is literally the first table entry. The ipc and exception entries ARE
-  // the pre-table kernel's hard-coded fast paths and register in every
-  // configuration (enable_recognition gates each consult); the vm entry —
-  // and netipc's two wakeup handlers, added when a cluster constructs it —
-  // are new specializations and exist only while the table feature is on,
-  // so --no-recognition-table keeps exactly the pre-table dispatch surface.
+  // handlers, registered in hotness order so the mach_msg fast path is
+  // literally the first table entry. They register in every configuration
+  // (enable_recognition gates each consult); netipc's two wakeup handlers
+  // are added when a cluster constructs it.
   RegisterIpcRecognition(recognition_table_);
   RegisterExceptionRecognition(recognition_table_);
-  if (config_.enable_recognition_table) {
-    VmSystem::RegisterRecognition(recognition_table_);
-  }
+  VmSystem::RegisterRecognition(recognition_table_);
   if (config_.profile_interval > 0 || config_.flight_interval > 0) {
     profiler_ = std::make_unique<Profiler>(config_.profile_interval, config_.flight_interval);
   }
@@ -169,11 +164,8 @@ void Kernel::RegisterMetrics() {
   metrics_.RegisterCounter("xfer.total_blocks", &transfer_stats_.total_blocks);
   metrics_.RegisterCounter("xfer.stack_handoffs", &transfer_stats_.stack_handoffs);
   metrics_.RegisterCounter("xfer.recognitions", &transfer_stats_.recognitions);
-  // Wakeup-side recognitions exist only while the recognition table is live:
-  // with either flag off (or under the process models) the metrics JSON must
-  // stay byte-identical to the pre-table kernel's.
-  if (config_.model == ControlTransferModel::kMK40 &&
-      config_.enable_recognition && config_.enable_recognition_table) {
+  // Wakeup-side recognitions happen only under MK40 with recognition on.
+  if (config_.model == ControlTransferModel::kMK40 && config_.enable_recognition) {
     metrics_.RegisterCounter("xfer.wakeup_recognitions",
                              &transfer_stats_.wakeup_recognitions);
   }
@@ -220,22 +212,18 @@ void Kernel::RegisterMetrics() {
   metrics_.RegisterGauge("stack.max_in_use", &sp.max_in_use);
   metrics_.RegisterGauge("stack.max_cached", &sp.max_cached);
 
-  // Zone counters exist only when the kmsg zones are enabled: with the flag
-  // off the metrics JSON must stay byte-identical to the pre-zone kernel's.
-  if (config_.ipc_kmsg_zones) {
-    for (Zone* zone : {&ipc_->kmsg_small_zone(), &ipc_->kmsg_full_zone()}) {
-      const ZoneStats& zs = zone->stats();
-      std::string prefix = "zone." + zone->name() + ".";
-      metrics_.RegisterCounter(prefix + "allocs", &zs.allocs);
-      metrics_.RegisterCounter(prefix + "frees", &zs.frees);
-      metrics_.RegisterCounter(prefix + "magazine_hits", &zs.magazine_hits);
-      metrics_.RegisterCounter(prefix + "refills", &zs.refills);
-      metrics_.RegisterCounter(prefix + "flushes", &zs.flushes);
-      metrics_.RegisterCounter(prefix + "created", &zs.created);
-      metrics_.RegisterCounter(prefix + "alloc_cycles", &zs.alloc_cycles);
-      metrics_.RegisterGauge(prefix + "in_use", &zs.in_use);
-      metrics_.RegisterGauge(prefix + "high_water", &zs.high_water);
-    }
+  for (Zone* zone : {&ipc_->kmsg_small_zone(), &ipc_->kmsg_full_zone()}) {
+    const ZoneStats& zs = zone->stats();
+    std::string prefix = "zone." + zone->name() + ".";
+    metrics_.RegisterCounter(prefix + "allocs", &zs.allocs);
+    metrics_.RegisterCounter(prefix + "frees", &zs.frees);
+    metrics_.RegisterCounter(prefix + "magazine_hits", &zs.magazine_hits);
+    metrics_.RegisterCounter(prefix + "refills", &zs.refills);
+    metrics_.RegisterCounter(prefix + "flushes", &zs.flushes);
+    metrics_.RegisterCounter(prefix + "created", &zs.created);
+    metrics_.RegisterCounter(prefix + "alloc_cycles", &zs.alloc_cycles);
+    metrics_.RegisterGauge(prefix + "in_use", &zs.in_use);
+    metrics_.RegisterGauge(prefix + "high_water", &zs.high_water);
   }
 
   lat_.transfer_handoff = metrics_.RegisterHistogram("lat.transfer.handoff");
@@ -271,14 +259,12 @@ void Kernel::RegisterMetrics() {
       metrics_.RegisterCounter(prefix + "sched.idle_ticks", &cpu.idle_ticks);
       metrics_.RegisterCounter(prefix + "stack.cache_hits", &cpu.stack_cache_hits);
       metrics_.RegisterCounter(prefix + "stack.cache_misses", &cpu.stack_cache_misses);
-      if (config_.ipc_kmsg_zones) {
-        for (Zone* zone : {&ipc_->kmsg_small_zone(), &ipc_->kmsg_full_zone()}) {
-          const ZoneCpuStats& shard = zone->cpu_stats(i);
-          std::string zprefix = prefix + "zone." + zone->name() + ".";
-          metrics_.RegisterCounter(zprefix + "magazine_hits", &shard.magazine_hits);
-          metrics_.RegisterCounter(zprefix + "refills", &shard.refills);
-          metrics_.RegisterCounter(zprefix + "flushes", &shard.flushes);
-        }
+      for (Zone* zone : {&ipc_->kmsg_small_zone(), &ipc_->kmsg_full_zone()}) {
+        const ZoneCpuStats& shard = zone->cpu_stats(i);
+        std::string zprefix = prefix + "zone." + zone->name() + ".";
+        metrics_.RegisterCounter(zprefix + "magazine_hits", &shard.magazine_hits);
+        metrics_.RegisterCounter(zprefix + "refills", &shard.refills);
+        metrics_.RegisterCounter(zprefix + "flushes", &shard.flushes);
       }
       cpu.lat_wakeup_to_run = metrics_.RegisterHistogram(prefix + "lat.sched.wakeup_to_run");
       cpu.lat_runq_wait = metrics_.RegisterHistogram(prefix + "lat.sched.runq_wait");
@@ -453,9 +439,7 @@ void Kernel::RegisterContinuations() {
 }
 
 bool Kernel::ConsultWakeupRecognition(Thread* waiter) {
-  // Wakeup-side recognition is new with the table: both flags gate it, so
-  // the ablation modes keep the pre-table wakeup path bit for bit.
-  if (!config_.enable_recognition || !config_.enable_recognition_table) {
+  if (!config_.enable_recognition) {
     return false;
   }
   RecognitionEntry* entry = recognition_table_.Find(waiter->continuation);

@@ -91,27 +91,15 @@ struct KernelConfig {
 
   // Ablation switches (MK40 only; see bench/bench_ablation.cc).
   bool enable_handoff = true;      // Stack handoff between continuations.
-  bool enable_recognition = true;  // Continuation recognition fast paths.
-  // Generalized recognition (kern/recognition.h): specialized resume
-  // handlers consulted on the transfer/wakeup paths. Off, only the legacy
-  // ipc/exception entries register and only the pre-table consult sites
-  // fire — the pre-table kernel's dispatch surface, exactly.
-  bool enable_recognition_table = true;
+  // Continuation recognition (kern/recognition.h): specialized resume and
+  // wakeup handlers consulted on the transfer/wakeup paths.
+  bool enable_recognition = true;
 
   // --- Allocation-free IPC hot paths (all models; see kern/zone.h) --------
-  // Size-classed kmsg zones with per-CPU magazines. Disabled, every kmsg
-  // comes from the full-size depot at exactly the legacy per-element cycle
-  // costs and no zone metrics are registered, so simulated output is
-  // byte-identical to the pre-zone kernel (modulo the TryAllocKmsg
-  // undercosting fix, documented in INTERNALS.md).
-  bool ipc_kmsg_zones = true;
-  // Elements cached per CPU per kmsg zone; 0 disables magazines while
-  // keeping the size classes.
+  // Elements cached per CPU in each size-classed kmsg zone; 0 disables
+  // magazines, so every kmsg comes from its zone's depot at the plain
+  // per-element cycle costs.
   std::size_t kmsg_magazine_depth = 8;
-  // Port-slot freelist with generation-tagged names: DestroyPort reclaims
-  // the slot in O(1) and bumps its generation so stale PortIds miss.
-  // Disabled, dead slots accumulate forever (the legacy behavior).
-  bool port_generations = true;
 
   // --- Multi-node netipc (src/net/) --------------------------------------
   // Number of simulated machines in the cluster and this kernel's position
@@ -121,11 +109,6 @@ struct KernelConfig {
   // collision-free.
   int nnodes = 1;
   int node_id = 0;
-  // Ablation: fall back to the legacy go-back-N wire protocol instead of
-  // the selective-repeat v2 engine. On, every netipc code path, packet
-  // byte, metric and summary line is byte-identical to the pre-v2 kernel
-  // for the same (config, seed).
-  bool netipc_gbn = false;
 
   // --- Continuation-aware observability (src/obs/profiler.h, watchdog.h) --
   // All three default to 0 = off; off, no profiler/watchdog object exists,

@@ -36,13 +36,10 @@
 //
 // Ablation contract (CI-gated):
 //   * --no-recognition: every consult declines before touching the table;
-//     byte-identical to the pre-table kernel's --no-recognition.
-//   * --no-recognition-table (KernelConfig::enable_recognition_table off):
-//     only the legacy ipc/exception entries register and only the pre-table
-//     consult sites fire — exactly the pre-table dispatch surface.
+//     nothing is recognized anywhere.
 //   * An empty table (nothing registered): every Find misses, nothing is
-//     recognized anywhere — the pre-table kernel with recognition off,
-//     including its unconditional check charge at the legacy sites.
+//     recognized anywhere — like recognition off, except that the mach_msg
+//     and exception sites still pay their unconditional check charge.
 #ifndef MACHCONT_SRC_KERN_RECOGNITION_H_
 #define MACHCONT_SRC_KERN_RECOGNITION_H_
 

@@ -37,12 +37,6 @@ void NetIpcAckContinue() { ActiveKernel().netipc()->EngineStep(); }
 
 NetIpc::NetIpc(Kernel& kernel, int node_id, Network& net)
     : kernel_(kernel), node_id_(node_id), net_(net) {
-  // Engine selection. The gbn ablation must reproduce the pre-v2 kernel
-  // byte-for-byte, so every format-dependent size routes through these.
-  v2_ = !kernel_.config().netipc_gbn;
-  header_bytes_ = v2_ ? kWireHeaderBytes : kWireHeaderBytesGbn;
-  max_body_ = v2_ ? kMaxWireBody : kMaxWireBodyGbn;
-
   task_ = kernel_.CreateTask("netmsg");
   proxy_set_ = kernel_.ipc().AllocatePortSet(task_);
   ack_port_ = kernel_.ipc().AllocatePort(task_);
@@ -65,12 +59,10 @@ NetIpc::NetIpc(Kernel& kernel, int node_id, Network& net)
   // protocol threads are serviced inline in the waker's context and the
   // threads re-parked, so the steady-state forwarding path schedules no
   // thread at all. Unregistered in the destructor — the table outlives us.
-  if (kernel_.config().enable_recognition_table) {
-    kernel_.recognition().Register(&NetIpcRecvContinue, nullptr,
-                                   &NetIpc::OutboundWakeupRecognized);
-    kernel_.recognition().Register(&NetIpcAckContinue, nullptr,
-                                   &NetIpc::EngineWakeupRecognized);
-  }
+  kernel_.recognition().Register(&NetIpcRecvContinue, nullptr,
+                                 &NetIpc::OutboundWakeupRecognized);
+  kernel_.recognition().Register(&NetIpcAckContinue, nullptr,
+                                 &NetIpc::EngineWakeupRecognized);
 
   // net.* metrics exist only on clustered kernels (NetIpc is constructed
   // only when nnodes > 1), keeping single-node metrics JSON byte-identical.
@@ -95,21 +87,17 @@ NetIpc::NetIpc(Kernel& kernel, int node_id, Network& net)
   m.RegisterCounter("net.msgs_in", &stats_.msgs_in);
   m.RegisterCounter("net.proxy_gcs", &stats_.proxy_gcs);
   m.RegisterGauge("net.proxy_table", &stats_.proxy_table);
-  // v2-only metrics, registered conditionally so a --netipc-gbn run's
-  // metrics JSON stays byte-identical to the pre-v2 kernel's.
-  if (v2_) {
-    m.RegisterCounter("net.reorders", &stats_.reorders);
-    m.RegisterCounter("net.acks_piggybacked", &stats_.acks_piggybacked);
-    m.RegisterCounter("net.frames_coalesced", &stats_.frames_coalesced);
-    m.RegisterCounter("net.fast_retransmits", &stats_.fast_retransmits);
-    m.RegisterCounter("net.rx_ooo_buffered", &stats_.rx_ooo_buffered);
-    m.RegisterGauge("net.rx_ooo_hw", &stats_.rx_ooo_hw);
-    m.RegisterCounter("net.bytes_goodput", &stats_.bytes_goodput);
-    m.RegisterCounter("net.ool_pulls", &stats_.ool_pulls);
-    m.RegisterCounter("net.ool_pushes", &stats_.ool_pushes);
-    m.RegisterCounter("net.ool_bytes_pulled", &stats_.ool_bytes_pulled);
-    m.RegisterCounter("net.ool_pull_fails", &stats_.ool_pull_fails);
-  }
+  m.RegisterCounter("net.reorders", &stats_.reorders);
+  m.RegisterCounter("net.acks_piggybacked", &stats_.acks_piggybacked);
+  m.RegisterCounter("net.frames_coalesced", &stats_.frames_coalesced);
+  m.RegisterCounter("net.fast_retransmits", &stats_.fast_retransmits);
+  m.RegisterCounter("net.rx_ooo_buffered", &stats_.rx_ooo_buffered);
+  m.RegisterGauge("net.rx_ooo_hw", &stats_.rx_ooo_hw);
+  m.RegisterCounter("net.bytes_goodput", &stats_.bytes_goodput);
+  m.RegisterCounter("net.ool_pulls", &stats_.ool_pulls);
+  m.RegisterCounter("net.ool_pushes", &stats_.ool_pushes);
+  m.RegisterCounter("net.ool_bytes_pulled", &stats_.ool_bytes_pulled);
+  m.RegisterCounter("net.ool_pull_fails", &stats_.ool_pull_fails);
 }
 
 NetIpc::~NetIpc() {
@@ -155,9 +143,9 @@ void NetIpc::OutboundStep() {
     // A local sender copied straight into out_buf_. Normally the wakeup-side
     // recognition handler (OutboundWakeupRecognized) forwards the message in
     // the sender's own context and this body never runs; we only get here
-    // when it declined — kmsg zone dry, a queued backlog, a v2 OOL capture —
-    // or when the recognition table is disabled and the sender woke us the
-    // general way.
+    // when it declined — kmsg zone dry, a queued backlog, an OOL capture —
+    // or when recognition is disabled and the sender woke us the general
+    // way.
     st.flags = 0;
     if (st.result == KernReturn::kSuccess) {
       HandleOutboundDirect(/*can_block=*/true);
@@ -172,17 +160,17 @@ void NetIpc::OutboundStep() {
     KMessage* kmsg = from->messages.DequeueHead();
     k.TracePoint(TraceEvent::kIpcQueueDepth, from->id,
                  static_cast<std::uint32_t>(from->messages.Size()));
-    // v2: a queued send's captured OOL object rides the kmsg; take it for
-    // the export table before FreeKmsg would drop it.
+    // A queued send's captured OOL object rides the kmsg; take it for the
+    // export table before FreeKmsg would drop it.
     std::unique_ptr<VmObject> qool;
-    if (v2_ && kmsg->ool_object != nullptr) {
+    if (kmsg->ool_object != nullptr) {
       qool.reset(kmsg->ool_object);
       kmsg->ool_object = nullptr;
     }
     ForwardMessage(kmsg->header, kmsg->body,
                    static_cast<std::uint32_t>(kmsg->ool_size),
                    /*can_block=*/true, std::move(qool));
-    k.ipc().FreeKmsg(kmsg);  // Drops any captured OOL object with it.
+    k.ipc().FreeKmsg(kmsg);
     if (Thread* sender = from->blocked_senders.DequeueHead()) {
       sender->wait_result = KernReturn::kSuccess;
       k.ThreadSetrun(sender);
@@ -202,38 +190,23 @@ void NetIpc::OutboundStep() {
 bool NetIpc::HandleOutboundDirect(bool can_block) {
   MessageHeader header = out_buf_.header;
   std::uint32_t ool_size = 0;
-  OolDescriptor desc;
   std::unique_ptr<VmObject> ool_obj;
-  const bool has_ool =
-      MessageCarriesOol(header) && header.size >= sizeof(OolDescriptor);
-  if (has_ool) {
+  if (MessageCarriesOol(header) && header.size >= sizeof(OolDescriptor)) {
     // The direct send path already installed the OOL region into the netmsg
-    // task's map and rewrote the descriptor. The local copy must be
-    // uninstalled before it leaks; v2 keeps the object itself, parked in the
-    // export table until the receiving node pulls it (or never does).
+    // task's map and rewrote the descriptor. Take the object back out and
+    // park it in the export table until the receiving node pulls it (or
+    // never does). The capture mutates the netmsg map, so it only runs on
+    // the protocol thread — OutboundWakeupRecognized declines OOL messages.
+    MKC_ASSERT(can_block);
+    OolDescriptor desc;
     std::memcpy(&desc, out_buf_.body, sizeof(desc));
     ool_size = static_cast<std::uint32_t>(desc.size);
-    if (v2_) {
-      // The capture mutates the netmsg map, so it only runs on the protocol
-      // thread — OutboundWakeupRecognized declines OOL messages.
-      MKC_ASSERT(can_block);
-      VmSize removed = 0;
-      ool_obj = task_->map.Remove(desc.addr, &removed);
-    } else if (can_block) {
-      // Protocol-thread path: uninstall first (the historical order).
-      VmSize removed = 0;
-      task_->map.Remove(desc.addr, &removed);
-    }
-  }
-  if (!ForwardMessage(header, out_buf_.body, ool_size, can_block,
-                      std::move(ool_obj))) {
-    return false;  // No-block decline: nothing mutated; general path redoes it.
-  }
-  if (!v2_ && !can_block && has_ool) {
     VmSize removed = 0;
-    task_->map.Remove(desc.addr, &removed);
+    ool_obj = task_->map.Remove(desc.addr, &removed);
   }
-  return true;
+  // A no-block decline mutates nothing; the general path redoes it.
+  return ForwardMessage(header, out_buf_.body, ool_size, can_block,
+                        std::move(ool_obj));
 }
 
 // Specialized wakeup handler for NetIpcRecvContinue (kern/recognition.h): a
@@ -253,10 +226,10 @@ bool NetIpc::OutboundWakeupRecognized(Kernel& k, Thread* waiter) {
       st.result != KernReturn::kSuccess) {
     return false;  // Nothing delivered in place: run the general body.
   }
-  // v2 OOL sends capture the region out of the netmsg map into the export
+  // OOL sends capture the region out of the netmsg map into the export
   // table — a map mutation that belongs on the protocol thread, not in a
   // waker's (possibly event) context.
-  if (self->v2_ && MessageCarriesOol(self->out_buf_.header) &&
+  if (MessageCarriesOol(self->out_buf_.header) &&
       self->out_buf_.header.size >= sizeof(OolDescriptor)) {
     return false;
   }
@@ -296,7 +269,7 @@ bool NetIpc::ForwardMessage(const MessageHeader& header, const void* body,
   // and the general path can redo the whole forward from scratch.
   KMessage* wk = nullptr;
   if (!can_block) {
-    wk = k.ipc().TryAllocKmsg(header_bytes_ + header.size);
+    wk = k.ipc().TryAllocKmsg(kWireHeaderBytes + header.size);
     if (wk == nullptr) {
       return false;
     }
@@ -325,7 +298,7 @@ bool NetIpc::ForwardMessage(const MessageHeader& header, const void* body,
     }
   }
 
-  if (header.size > max_body_) {
+  if (header.size > kMaxWireBody) {
     // Too big for one wire packet: fail the sender dead-name style, the
     // same way an exhausted retransmit budget does.
     if (wk != nullptr) {
@@ -336,52 +309,24 @@ bool NetIpc::ForwardMessage(const MessageHeader& header, const void* body,
     return true;
   }
 
-  if (v2_) {
-    // Lazy OOL: the payload does not ride the DATA packet. The captured
-    // object parks in the export table under a fresh cookie; the receiver
-    // installs an unpulled placeholder and the bytes move only if touched.
-    if (ool_obj != nullptr && ool_size > 0) {
-      wire.ool_cookie = next_ool_cookie_++;
-      ool_exports_[wire.ool_cookie] = OolExport{std::move(ool_obj), ool_size};
-    }
-    AccountNetCopy(k, header.size);
-    ++stats_.msgs_out;
-    k.TracePointSpan(header.span, TraceEvent::kNetTx,
-                     static_cast<std::uint32_t>(dst_node),
-                     header_bytes_ + header.size);
-    SendSequenced(dst_node, wire, body, header.size, local_reply, wk);
-    return true;
+  // Lazy OOL: the payload does not ride the DATA packet. The captured
+  // object parks in the export table under a fresh cookie; the receiver
+  // installs an unpulled placeholder and the bytes move only if touched.
+  if (ool_obj != nullptr && ool_size > 0) {
+    wire.ool_cookie = next_ool_cookie_++;
+    ool_exports_[wire.ool_cookie] = OolExport{std::move(ool_obj), ool_size};
   }
-
-  Channel& ch = channels_[dst_node];
-  wire.seq = ch.tx_next++;
-
-  // The serialized packet lives in a zone kmsg until acked, so retransmits
-  // reuse the bytes. The protocol thread may block on zone exhaustion
-  // (kMemoryAlloc); the wakeup handler already allocated, above.
-  if (wk == nullptr) {
-    wk = k.ipc().AllocKmsg(header_bytes_ + header.size);
-  }
-  std::uint32_t len = WireSerialize(wire, body, header.size, wk->body,
-                                    wk->body_capacity, header_bytes_);
-  MKC_ASSERT(len != 0);
-  wk->header.size = len;
   AccountNetCopy(k, header.size);
-
-  ch.unacked.push_back(Unacked{wk, wire.seq, local_reply,
-                               k.clock().Now() + kNetRetransmitBase, 1});
   ++stats_.msgs_out;
   k.TracePointSpan(header.span, TraceEvent::kNetTx,
-                   static_cast<std::uint32_t>(dst_node), len);
-  net_.Transmit(*this, *peers_[static_cast<std::size_t>(dst_node)], wk->body, len);
-  // The engine may be parked in an untimed receive (it had nothing unacked
-  // when it last blocked): wake it so it arms the retransmit deadline.
-  KickEngine();
+                   static_cast<std::uint32_t>(dst_node),
+                   kWireHeaderBytes + header.size);
+  SendSequenced(dst_node, wire, body, header.size, local_reply, wk);
   return true;
 }
 
 // ---------------------------------------------------------------------------
-// v2 sequenced send path.
+// Sequenced send path.
 
 void NetIpc::SendSequenced(int dst_node, WireHeader& wire, const void* body,
                            std::uint32_t body_bytes, PortId local_reply,
@@ -390,11 +335,14 @@ void NetIpc::SendSequenced(int dst_node, WireHeader& wire, const void* body,
   Channel& ch = channels_[dst_node];
   wire.seq = ch.tx_next++;
   StampAck(wire, dst_node, /*count_piggyback=*/true);
+  // The serialized packet lives in a zone kmsg until acked, so retransmits
+  // reuse the bytes. May block on zone exhaustion unless the caller
+  // pre-allocated.
   if (wk == nullptr) {
-    wk = k.ipc().AllocKmsg(header_bytes_ + body_bytes);
+    wk = k.ipc().AllocKmsg(kWireHeaderBytes + body_bytes);
   }
   std::uint32_t len = WireSerialize(wire, body, body_bytes, wk->body,
-                                    wk->body_capacity, header_bytes_);
+                                    wk->body_capacity);
   MKC_ASSERT(len != 0);
   wk->header.size = len;
   const Ticks now = k.clock().Now();
@@ -525,97 +473,57 @@ void NetIpc::EngineServiceAndPark(bool from_handler) {
     k.ipc().FreeKmsg(kmsg);
   }
 
+  // Service every due deadline, then park on the earliest remaining one;
+  // no deadline → wait forever (KickEngine re-arms us when traffic
+  // restarts), so an idle cluster schedules no events and can terminate.
+  // Transmit charges advance the virtual clock mid-scan, so a deadline
+  // computed early in a burst can already be due by the time we would park
+  // on it — loop until the earliest survivor is strictly in the future,
+  // which is exactly the invariant the assert pins down: an armed engine
+  // timer never points into the past.
   Ticks next = 0;
-  Ticks timeout = 0;
-  if (v2_) {
-    // Service every due deadline, then park on the earliest remaining one.
-    // Transmit charges advance the virtual clock mid-scan, so a deadline
-    // computed early in a burst can already be due by the time we would
-    // park on it — loop until the earliest survivor is strictly in the
-    // future, which is exactly the invariant the assert pins down: an armed
-    // engine timer never points into the past.
-    while (true) {
-      RetransmitScan();
-      // Pull expiry: an import whose OOL_DATA train stalled past its
-      // deadline dead-names its touchers instead of wedging them forever.
-      std::vector<std::pair<int, std::uint32_t>> expired;
-      const Ticks now = k.clock().Now();
-      for (const auto& [key, imp] : imports_) {
-        if (imp.deadline <= now) {
-          expired.push_back(key);
-        }
-      }
-      for (const auto& key : expired) {
-        MarkImportFailed(key.first, key.second);
-      }
-      FlushAcks();
-      next = 0;
-      for (auto& [node, ch] : channels_) {
-        for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
-          const Unacked& entry = ch.unacked[i];
-          if (entry.sacked && i != 0) {
-            continue;  // Parked at the receiver; no deadline to honor.
-          }
-          if (next == 0 || entry.deadline < next) {
-            next = entry.deadline;
-          }
-        }
-        if (ch.ack_pending && (next == 0 || ch.ack_deadline < next)) {
-          next = ch.ack_deadline;
-        }
-      }
-      for (const auto& [key, imp] : imports_) {
-        if (next == 0 || imp.deadline < next) {
-          next = imp.deadline;
-        }
-      }
-      if (next == 0 || next > k.clock().Now()) {
-        break;
-      }
-    }
-    const Ticks now = k.clock().Now();
-    MKC_ASSERT(next == 0 || next > now);
-    if (next != 0) {
-      timeout = next - now;
-    }
-  } else {
+  while (true) {
     RetransmitScan();
-
-    // Block until the next packet or the earliest retransmit deadline. No
-    // deadline → wait forever (KickEngine re-arms us when traffic restarts),
-    // so an idle cluster schedules no events and can terminate.
-    //
-    // The two paths anchor the timer differently. RetransmitScan only ever
-    // acts on each channel's *head* (go-back-N), and a backed-off head can
-    // carry a later deadline than fresher entries behind it — so the legacy
-    // min-over-all-entries anchor can land in the past and re-arm a 1-tick
-    // timeout until the head is acked or due. The scheduled path keeps that
-    // anchor (each spin costs a full dispatch, and the ablation runs must
-    // stay byte-identical to the historical kernel); the recognition handler
-    // re-parks on the min *head* deadline — the earliest instant a scan can
-    // make progress — so an absorbed timeout never spins.
-    for (auto& [node, ch] : channels_) {
-      if (ch.unacked.empty()) {
-        continue;
-      }
-      if (from_handler) {
-        const Ticks d = ch.unacked.front().deadline;
-        if (next == 0 || d < next) {
-          next = d;
-        }
-      } else {
-        for (auto& entry : ch.unacked) {
-          if (next == 0 || entry.deadline < next) {
-            next = entry.deadline;
-          }
-        }
+    // Pull expiry: an import whose OOL_DATA train stalled past its deadline
+    // dead-names its touchers instead of wedging them forever.
+    std::vector<std::pair<int, std::uint32_t>> expired;
+    const Ticks now = k.clock().Now();
+    for (const auto& [key, imp] : imports_) {
+      if (imp.deadline <= now) {
+        expired.push_back(key);
       }
     }
-    if (next != 0) {
-      const Ticks now = k.clock().Now();
-      timeout = next > now ? next - now : 1;
+    for (const auto& key : expired) {
+      MarkImportFailed(key.first, key.second);
+    }
+    FlushAcks();
+    next = 0;
+    for (auto& [node, ch] : channels_) {
+      for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
+        const Unacked& entry = ch.unacked[i];
+        if (entry.sacked && i != 0) {
+          continue;  // Parked at the receiver; no deadline to honor.
+        }
+        if (next == 0 || entry.deadline < next) {
+          next = entry.deadline;
+        }
+      }
+      if (ch.ack_pending && (next == 0 || ch.ack_deadline < next)) {
+        next = ch.ack_deadline;
+      }
+    }
+    for (const auto& [key, imp] : imports_) {
+      if (next == 0 || imp.deadline < next) {
+        next = imp.deadline;
+      }
+    }
+    if (next == 0 || next > k.clock().Now()) {
+      break;
     }
   }
+  const Ticks now = k.clock().Now();
+  MKC_ASSERT(next == 0 || next > now);
+  const Ticks timeout = next != 0 ? next - now : 0;
 
   FlushBatch();
   engine_waiting_ = true;
@@ -691,64 +599,11 @@ void NetIpc::HandleWirePacket(const std::byte* bytes, std::uint32_t len) {
   WireHeader wire;
   const std::byte* body = nullptr;
   std::uint32_t body_bytes = 0;
-  if (!WireDeserialize(bytes, len, &wire, &body, &body_bytes, header_bytes_)) {
+  if (!WireDeserialize(bytes, len, &wire, &body, &body_bytes)) {
     return;
   }
   const int src = static_cast<int>(wire.src_node);
   Channel& ch = channels_[src];
-
-  if (!v2_) {
-    switch (static_cast<WireKind>(wire.kind)) {
-      case WireKind::kData: {
-        if (wire.seq != ch.rx_expected) {
-          // A duplicate (retransmit raced our ack) or a gap (an earlier DATA
-          // is still in flight or lost). Either way, re-ack what we have so
-          // the sender's window advances or retransmits precisely.
-          if (wire.seq < ch.rx_expected) {
-            ++stats_.rx_dup_data;
-          }
-          SendControl(src, WireKind::kAck, ch.rx_expected - 1);
-          return;
-        }
-        switch (InjectLocal(wire, body)) {
-          case InjectResult::kOk:
-            ++ch.rx_expected;
-            SendControl(src, WireKind::kAck, ch.rx_expected - 1);
-            break;
-          case InjectResult::kDead:
-            ++ch.rx_expected;  // Consumed, but the destination port is gone.
-            SendControl(src, WireKind::kDead, wire.seq);
-            break;
-          case InjectResult::kBackpressure:
-            ++stats_.rx_backpressure;  // No ack: the sender will retransmit.
-            break;
-        }
-        return;
-      }
-      case WireKind::kAck:
-        ++stats_.acks_rx;
-        PopAcked(ch, wire.seq, /*fail_exact=*/false);
-        return;
-      case WireKind::kDead:
-        ++stats_.dead_rx;
-        PopAcked(ch, wire.seq, /*fail_exact=*/true);
-        return;
-      default: {  // kPortDeath (the deserializer rejects v2-only kinds).
-        auto it = remote_to_proxy_.find(std::make_pair(src, wire.seq));
-        if (it != remote_to_proxy_.end()) {
-          PortId proxy = it->second;
-          remote_to_proxy_.erase(it);
-          proxy_out_.erase(proxy);
-          ++stats_.proxy_gcs;
-          stats_.proxy_table = proxy_out_.size();
-          // Maps first, then the port: DestroyPort re-enters OnPortDeath,
-          // which must find nothing.
-          kernel_.ipc().DestroyPort(proxy);
-        }
-        return;
-      }
-    }
-  }
 
   switch (static_cast<WireKind>(wire.kind)) {
     case WireKind::kFrameBatch: {
@@ -779,7 +634,7 @@ void NetIpc::HandleWirePacket(const std::byte* bytes, std::uint32_t len) {
       // cumulative ack already covers it: pop through seq, failing the exact
       // entry back to the local sender.
       ++stats_.dead_rx;
-      PopAcked(ch, wire.seq, /*fail_exact=*/true);
+      PopAcked(ch, wire.seq);
       ProcessAckInfo(src, ch, wire.ack, wire.sack);
       return;
     case WireKind::kPortDeath: {
@@ -805,7 +660,7 @@ void NetIpc::HandleWirePacket(const std::byte* bytes, std::uint32_t len) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 sequenced receive path.
+// Sequenced receive path.
 
 void NetIpc::HandleSequenced(int src, Channel& ch, const WireHeader& wire,
                              const std::byte* body, const std::byte* packet,
@@ -891,7 +746,7 @@ void NetIpc::DrainOoo(int src, Channel& ch) {
     std::uint32_t body_bytes = 0;
     if (!WireDeserialize(it->second.data(),
                          static_cast<std::uint32_t>(it->second.size()), &wire,
-                         &body, &body_bytes, header_bytes_)) {
+                         &body, &body_bytes)) {
       ch.rx_ooo.erase(it);  // Cannot happen: it deserialized on arrival.
       continue;
     }
@@ -1022,11 +877,9 @@ NetIpc::InjectResult NetIpc::InjectLocal(const WireHeader& wire,
   k.ChargeCycles(kCycMsgPhaseBase + kCycPortLookup);
   ++k.ipc().stats().messages_sent;
   ++stats_.msgs_in;
-  if (v2_) {
-    stats_.bytes_goodput += h.size;
-  }
+  stats_.bytes_goodput += h.size;
   k.TracePointSpan(h.span, TraceEvent::kNetRx, wire.src_node,
-                   header_bytes_ + h.size);
+                   kWireHeaderBytes + h.size);
 
   const bool mach25 = k.model() == ControlTransferModel::kMach25;
   if (!mach25) {
@@ -1042,13 +895,13 @@ NetIpc::InjectResult NetIpc::InjectLocal(const WireHeader& wire,
       h.seqno = port->next_seqno++;
       DeliverDirect(receiver, h, body);
       if (MessageCarriesOol(h) && wire.ool_size > 0) {
-        // Re-materialize the OOL region receiver-side. v2 with a pull
-        // cookie installs it *unpulled*: a kPaged object whose first touch
-        // issues OOL_PULL back to the source (NORMA copy-on-reference).
-        // Otherwise the pages are zero-fill — the copy-on-reference
-        // contents stay behind on the sending node.
+        // Re-materialize the OOL region receiver-side. With a pull cookie it
+        // is installed *unpulled*: a kPaged object whose first touch issues
+        // OOL_PULL back to the source (NORMA copy-on-reference). Otherwise
+        // the pages are zero-fill — the copy-on-reference contents stay
+        // behind on the sending node.
         std::unique_ptr<VmObject> object;
-        if (v2_ && wire.ool_cookie != 0) {
+        if (wire.ool_cookie != 0) {
           object = std::make_unique<VmObject>(VmBacking::kPaged,
                                               PageRound(wire.ool_size));
           object->remote_pull = RemotePull::kUnpulled;
@@ -1090,7 +943,7 @@ NetIpc::InjectResult NetIpc::InjectLocal(const WireHeader& wire,
   std::memcpy(kmsg->body, body, h.size);
   AccountNetCopy(k, h.size);
   if (MessageCarriesOol(h) && wire.ool_size > 0) {
-    if (v2_ && wire.ool_cookie != 0) {
+    if (wire.ool_cookie != 0) {
       auto* obj = new VmObject(VmBacking::kPaged, PageRound(wire.ool_size));
       obj->remote_pull = RemotePull::kUnpulled;
       obj->remote_src = wire.src_node;
@@ -1120,18 +973,15 @@ void NetIpc::SendControl(int dst_node, WireKind kind, std::uint32_t seq) {
   wire.kind = static_cast<std::uint32_t>(kind);
   wire.src_node = static_cast<std::uint32_t>(node_id_);
   wire.seq = seq;
-  if (v2_) {
-    // Every control carries full ack state for its channel, which also
-    // settles any pending delayed ack.
-    Channel& ch = channels_[dst_node];
-    wire.ack = ch.rx_expected - 1;
-    wire.sack = BuildSack(ch);
-    ch.ack_pending = false;
-  }
+  // Every control carries full ack state for its channel, which also
+  // settles any pending delayed ack.
+  Channel& ch = channels_[dst_node];
+  wire.ack = ch.rx_expected - 1;
+  wire.sack = BuildSack(ch);
+  ch.ack_pending = false;
   std::byte buf[kWireHeaderBytes];
-  std::uint32_t len =
-      WireSerialize(wire, nullptr, 0, buf, sizeof(buf), header_bytes_);
-  MKC_ASSERT(len == header_bytes_);
+  std::uint32_t len = WireSerialize(wire, nullptr, 0, buf, sizeof(buf));
+  MKC_ASSERT(len == kWireHeaderBytes);
   if (kind == WireKind::kAck) {
     ++stats_.acks_tx;
   } else if (kind == WireKind::kDead) {
@@ -1140,11 +990,11 @@ void NetIpc::SendControl(int dst_node, WireKind kind, std::uint32_t seq) {
   TransmitPacket(dst_node, buf, len);
 }
 
-void NetIpc::PopAcked(Channel& ch, std::uint32_t seq, bool fail_exact) {
+void NetIpc::PopAcked(Channel& ch, std::uint32_t seq) {
   while (!ch.unacked.empty() && ch.unacked.front().seq <= seq) {
     Unacked entry = ch.unacked.front();
     ch.unacked.pop_front();
-    if (fail_exact && entry.seq == seq) {
+    if (entry.seq == seq) {
       FailEntry(entry);  // The remote destination died: dead-name the sender.
     }
     kernel_.ipc().FreeKmsg(entry.kmsg);
@@ -1152,7 +1002,7 @@ void NetIpc::PopAcked(Channel& ch, std::uint32_t seq, bool fail_exact) {
 }
 
 void NetIpc::FailEntry(const Unacked& entry) {
-  if (v2_ && static_cast<WireKind>(entry.kind) == WireKind::kData &&
+  if (static_cast<WireKind>(entry.kind) == WireKind::kData &&
       entry.ool_cookie != 0) {
     // The DATA carrying this lazy payload will never be delivered (or its
     // destination died unpulled): the export can never be pulled, drop it.
@@ -1176,44 +1026,6 @@ void NetIpc::FailEntry(const Unacked& entry) {
 
 void NetIpc::RetransmitScan() {
   const Ticks now = kernel_.clock().Now();
-  if (!v2_) {
-    for (auto& [node, ch] : channels_) {
-      if (ch.unacked.empty() || ch.unacked.front().deadline > now) {
-        continue;  // Entries behind the head are never due before it.
-      }
-      // Older entries have at least as many attempts as newer ones, so
-      // exhausted entries cluster at the head.
-      while (!ch.unacked.empty() &&
-             ch.unacked.front().attempts >= kNetMaxSendAttempts) {
-        ++stats_.give_ups;
-        FailEntry(ch.unacked.front());
-        kernel_.ipc().FreeKmsg(ch.unacked.front().kmsg);
-        ch.unacked.pop_front();
-      }
-      if (ch.unacked.empty()) {
-        continue;
-      }
-      // Go-back-N: the receiver discarded everything after the lost packet, so
-      // resend the whole window on the head's timeout — one timeout per loss,
-      // not one per in-flight packet.
-      for (auto& entry : ch.unacked) {
-        ++stats_.retransmits;
-        ++entry.attempts;
-        net_.Transmit(*this, *peers_[static_cast<std::size_t>(node)],
-                      entry.kmsg->body, entry.kmsg->header.size);
-      }
-      std::uint32_t shift = ch.unacked.front().attempts - 1;
-      if (shift > kNetMaxBackoffShift) {
-        shift = kNetMaxBackoffShift;
-      }
-      const Ticks deadline = now + (kNetRetransmitBase << shift);
-      for (auto& entry : ch.unacked) {
-        entry.deadline = deadline;
-      }
-    }
-    return;
-  }
-
   // Selective repeat: every entry carries its own deadline and is resent
   // alone — a loss costs one packet, not the window. SACKed entries sit at
   // the receiver and are skipped, except the *head*: a head both SACKed and
@@ -1266,7 +1078,7 @@ void NetIpc::GiveUpChannel(int node, Channel& ch) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 lazy-pull OOL.
+// Lazy-pull OOL.
 
 NetIpc::OolGate NetIpc::OolFaultPrepare(VmObject* object) {
   switch (object->remote_pull) {
@@ -1308,16 +1120,16 @@ NetIpc::InjectResult NetIpc::HandleOolPull(const WireHeader& wire) {
     return InjectResult::kOk;  // Already served or dropped: ack the dup pull.
   }
   const std::uint32_t total = it->second.size;
-  const std::uint32_t nchunks = (total + max_body_ - 1) / max_body_;
+  const std::uint32_t nchunks = (total + kMaxWireBody - 1) / kMaxWireBody;
   // Reserve every chunk kmsg up front: either the whole OOL_DATA train goes
   // out, or nothing does and the unacked pull retransmits into a less-dry
   // zone later.
   std::vector<KMessage*> wks;
   wks.reserve(nchunks);
   for (std::uint32_t i = 0; i < nchunks; ++i) {
-    const std::uint32_t off = i * max_body_;
-    const std::uint32_t chunk = std::min(max_body_, total - off);
-    KMessage* wk = kernel_.ipc().TryAllocKmsg(header_bytes_ + chunk);
+    const std::uint32_t off = i * kMaxWireBody;
+    const std::uint32_t chunk = std::min(kMaxWireBody, total - off);
+    KMessage* wk = kernel_.ipc().TryAllocKmsg(kWireHeaderBytes + chunk);
     if (wk == nullptr) {
       for (KMessage* w : wks) {
         kernel_.ipc().FreeKmsg(w);
@@ -1326,14 +1138,13 @@ NetIpc::InjectResult NetIpc::HandleOolPull(const WireHeader& wire) {
     }
     wks.push_back(wk);
   }
-  // The simulation models OOL contents as zeros (like the eager engine's
-  // zero-fill re-materialization); what matters is that the bytes cross the
-  // wire and are paid for.
+  // The simulation models OOL contents as zeros; what matters is that the
+  // bytes cross the wire and are paid for.
   static const std::byte kZeros[kMaxWireBody] = {};
   const int dst = static_cast<int>(wire.src_node);
   for (std::uint32_t i = 0; i < nchunks; ++i) {
-    const std::uint32_t off = i * max_body_;
-    const std::uint32_t chunk = std::min(max_body_, total - off);
+    const std::uint32_t off = i * kMaxWireBody;
+    const std::uint32_t chunk = std::min(kMaxWireBody, total - off);
     WireHeader out;
     out.kind = static_cast<std::uint32_t>(WireKind::kOolData);
     out.src_node = static_cast<std::uint32_t>(node_id_);
@@ -1390,19 +1201,11 @@ void NetIpc::MarkImportFailed(int src_node, std::uint32_t cookie) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 small-frame coalescing.
+// Small-frame coalescing.
 
-void NetIpc::BeginBatch() {
-  if (!v2_) {
-    return;
-  }
-  ++batch_depth_;
-}
+void NetIpc::BeginBatch() { ++batch_depth_; }
 
 void NetIpc::FlushBatch() {
-  if (!v2_) {
-    return;
-  }
   MKC_ASSERT(batch_depth_ > 0);
   if (--batch_depth_ > 0) {
     return;  // Nested scope: the outermost close flushes.
@@ -1432,7 +1235,7 @@ void NetIpc::FlushStage(int dst_node, Stage& stage) {
     std::uint32_t len =
         WireSerialize(wire, stage.bytes.data(),
                       static_cast<std::uint32_t>(stage.bytes.size()), buf,
-                      sizeof(buf), header_bytes_);
+                      sizeof(buf));
     MKC_ASSERT(len != 0);
     ++stats_.frames_coalesced;
     net_.Transmit(*this, *peers_[static_cast<std::size_t>(dst_node)], buf, len);
@@ -1444,15 +1247,14 @@ void NetIpc::FlushStage(int dst_node, Stage& stage) {
 void NetIpc::TransmitPacket(int dst_node, const std::byte* bytes,
                             std::uint32_t len) {
   // Only small packets inside an open batch scope stage; everything else —
-  // the gbn engine, large DATA, emissions outside a burst — goes straight
-  // to the wire.
-  if (!v2_ || batch_depth_ == 0 || len > kSmallKmsgBytes) {
+  // large DATA, emissions outside a burst — goes straight to the wire.
+  if (batch_depth_ == 0 || len > kSmallKmsgBytes) {
     net_.Transmit(*this, *peers_[static_cast<std::size_t>(dst_node)], bytes,
                   len);
     return;
   }
   Stage& stage = stage_[dst_node];
-  if (header_bytes_ + stage.bytes.size() + sizeof(std::uint32_t) + len >
+  if (kWireHeaderBytes + stage.bytes.size() + sizeof(std::uint32_t) + len >
       kMaxInlineBytes) {
     FlushStage(dst_node, stage);  // Frame full: ship it, start the next.
   }
@@ -1485,8 +1287,7 @@ void NetIpc::OnPortDeath(void* ctx, PortId id) {
       wire.src_node = static_cast<std::uint32_t>(self->node_id_);
       wire.seq = id;
       std::byte buf[kWireHeaderBytes];
-      std::uint32_t len = WireSerialize(wire, nullptr, 0, buf, sizeof(buf),
-                                        self->header_bytes_);
+      std::uint32_t len = WireSerialize(wire, nullptr, 0, buf, sizeof(buf));
       self->net_.Transmit(*self, *self->peers_[static_cast<std::size_t>(node)],
                           buf, len);
     }

@@ -15,9 +15,9 @@
 //     body, OOL descriptor, PR-3 span id) into a wire kmsg from the PR-4
 //     zones, recorded unacked, and transmitted without this thread ever
 //     becoming runnable; it is simply re-parked. The handler declines (zone
-//     dry, a queued backlog, or a v2 OOL capture that must run on the
+//     dry, a queued backlog, or an OOL capture that must run on the
 //     protocol thread) and the general OutboundStep body runs on a
-//     donated/fresh stack instead — the pre-table behavior.
+//     donated/fresh stack instead.
 //
 //   netipc-engine ("netipc_ack_continue")
 //     Blocks in mach_msg receive on the ack port with a *timeout* — the
@@ -30,32 +30,23 @@
 //     are serviced inline in the delivering event's context and the engine
 //     re-parked, so steady-state protocol processing schedules no thread.
 //
-// Two wire engines share those threads, selected by
-// KernelConfig::netipc_gbn:
-//
-//   v2 (default): selective repeat. Every sequenced packet (DATA, OOL_PULL,
-//   OOL_DATA) carries a cumulative ack + 64-bit SACK bitmap for the reverse
-//   channel, so steady-state RPC piggybacks every acknowledgement on reply
-//   traffic and sends zero standalone ACKs (a delayed-ack timer,
-//   kNetAckDelay, flushes the stragglers). The receiver buffers up to
-//   kNetRxWindow out-of-order packets and hands them to mach_msg strictly
-//   in order; the sender retransmits *individual* entries on per-entry
-//   deadlines with an adaptive RTO (EWMA srtt/rttvar, Karn-sampled from
-//   first-attempt acks only) and fast-retransmits a hole as soon as SACK
-//   shows later packets landed. Small packets (≤ kSmallKmsgBytes on the
-//   wire) emitted inside one engine or outbound burst to the same peer are
-//   coalesced into a single FRAME_BATCH frame. OOL payloads ship lazily:
-//   DATA carries (size, source node, pull cookie); the source parks the
-//   captured VmObject in an export table and the receiving node installs an
-//   unpulled kPaged object, whose first touch does a continuation-blocked
-//   OOL_PULL/OOL_DATA exchange through VmSystem (NORMA-style
-//   copy-on-reference) — an RPC that never touches its OOL payload never
-//   pays its wire cost.
-//
-//   --netipc-gbn (ablation): the legacy go-back-N engine, byte-identical to
-//   the pre-v2 kernel for the same (config, seed) — 48-byte headers,
-//   standalone cumulative acks, whole-window resends on a per-head
-//   deadline, and eager zero-fill OOL re-materialization.
+// The wire protocol is selective repeat. Every sequenced packet (DATA,
+// OOL_PULL, OOL_DATA) carries a cumulative ack + 64-bit SACK bitmap for the
+// reverse channel, so steady-state RPC piggybacks every acknowledgement on
+// reply traffic and sends zero standalone ACKs (a delayed-ack timer,
+// kNetAckDelay, flushes the stragglers). The receiver buffers up to
+// kNetRxWindow out-of-order packets and hands them to mach_msg strictly in
+// order; the sender retransmits *individual* entries on per-entry deadlines
+// with an adaptive RTO (EWMA srtt/rttvar, Karn-sampled from first-attempt
+// acks only) and fast-retransmits a hole as soon as SACK shows later packets
+// landed. Small packets (≤ kSmallKmsgBytes on the wire) emitted inside one
+// engine or outbound burst to the same peer are coalesced into a single
+// FRAME_BATCH frame. OOL payloads ship lazily: DATA carries (size, source
+// node, pull cookie); the source parks the captured VmObject in an export
+// table and the receiving node installs an unpulled kPaged object, whose
+// first touch does a continuation-blocked OOL_PULL/OOL_DATA exchange through
+// VmSystem (NORMA-style copy-on-reference) — an RPC that never touches its
+// OOL payload never pays its wire cost.
 //
 // Proxy ports: BindProxy(node, port) allocates a local port owned by the
 // netmsg task and maps it to the remote (node, port) pair. Reply ports are
@@ -94,7 +85,7 @@ struct Thread;
 inline constexpr Ticks kNetRetransmitBase = 30000;
 inline constexpr std::uint32_t kNetMaxSendAttempts = 6;
 inline constexpr std::uint32_t kNetMaxBackoffShift = 5;
-// v2 selective repeat. The RTO floor must stay above the delayed-ack flush
+// Selective repeat. The RTO floor must stay above the delayed-ack flush
 // plus one transit, or a lossless link would retransmit waiting for a
 // straggler ack.
 inline constexpr Ticks kNetMinRto = 10000;    // Adaptive RTO clamp floor.
@@ -128,7 +119,7 @@ struct NetStats {
   std::uint64_t msgs_in = 0;      // Wire messages re-injected locally.
   std::uint64_t proxy_gcs = 0;    // Proxy entries reclaimed via PORT_DEATH.
   std::uint64_t proxy_table = 0;  // Gauge: live local proxy ports.
-  // --- v2 selective repeat (all zero under --netipc-gbn) -----------------
+  // --- selective repeat and lazy OOL --------------------------------------
   std::uint64_t reorders = 0;          // Packets the link delayed past later ones.
   std::uint64_t acks_piggybacked = 0;  // Ack obligations cleared by outbound data.
   std::uint64_t frames_coalesced = 0;  // FRAME_BATCH frames sent (≥2 packets each).
@@ -173,7 +164,6 @@ class NetIpc {
 
   Kernel& kernel() { return kernel_; }
   int node_id() const { return node_id_; }
-  bool v2() const { return v2_; }
   NetStats& stats() { return stats_; }
   const NetStats& stats() const { return stats_; }
   std::size_t proxy_count() const { return proxy_out_.size(); }
@@ -200,7 +190,6 @@ class NetIpc {
     PortId local_reply = kInvalidPort;  // Who to fail if we give up.
     Ticks deadline = 0;
     std::uint32_t attempts = 0;
-    // v2 selective-repeat bookkeeping (unused by the gbn engine).
     Ticks sent_at = 0;             // First-transmit time (Karn RTT sampling).
     std::uint32_t kind = 0;        // WireKind riding this entry.
     std::uint32_t ool_cookie = 0;  // kData: export to drop on failure.
@@ -214,12 +203,12 @@ class NetIpc {
     std::uint32_t tx_next = 1;      // Next sequenced seq to assign.
     std::uint32_t rx_expected = 1;  // Next in-order seq to accept.
     std::deque<Unacked> unacked;    // In seq order.
-    // v2: receive-side reorder buffer (raw packets keyed by seq, at most
+    // Receive-side reorder buffer (raw packets keyed by seq, at most
     // kNetRxWindow−1 entries) and the delayed-ack obligation.
     std::map<std::uint32_t, std::vector<std::byte>> rx_ooo;
     bool ack_pending = false;
     Ticks ack_deadline = 0;
-    // v2: adaptive RTO. EWMA of first-attempt ack round trips, clamped to
+    // Adaptive RTO. EWMA of first-attempt ack round trips, clamped to
     // [kNetMinRto, kNetRetransmitBase].
     Ticks srtt = 0;
     Ticks rttvar = 0;
@@ -263,9 +252,9 @@ class NetIpc {
   static bool EngineWakeupRecognized(Kernel& kernel, Thread* waiter);
 
   // Tail shared by EngineStep and the engine's wakeup handler: drain queued
-  // ack-port packets, run the retransmit scan (plus, under v2, the pull
-  // expiry scan and the delayed-ack flush), and re-park the engine in its
-  // timed receive. Never blocks; `from_handler` skips the ThreadBlock.
+  // ack-port packets, run the retransmit scan, the pull expiry scan and the
+  // delayed-ack flush, and re-park the engine in its timed receive. Never
+  // blocks; `from_handler` skips the ThreadBlock.
   void EngineServiceAndPark(bool from_handler);
 
   // `can_block` false (the wakeup handler's inline path) allocates the wire
@@ -278,13 +267,15 @@ class NetIpc {
   void HandleWirePacket(const std::byte* bytes, std::uint32_t len);
   InjectResult InjectLocal(const WireHeader& wire, const std::byte* body);
   void SendControl(int dst_node, WireKind kind, std::uint32_t seq);
-  void PopAcked(Channel& ch, std::uint32_t seq, bool fail_exact);
+  // Pops every entry through `seq`, failing the exact entry `seq` back to
+  // its sender (its remote destination died).
+  void PopAcked(Channel& ch, std::uint32_t seq);
   void FailEntry(const Unacked& entry);
   void RetransmitScan();
   void KickEngine();
   static void OnPortDeath(void* ctx, PortId id);
 
-  // --- v2 selective repeat ------------------------------------------------
+  // --- selective repeat ---------------------------------------------------
   // Assigns the next seq on the channel to `dst_node`, stamps the
   // piggybacked ack/SACK, serializes into a zone kmsg (`wk` if the caller
   // pre-allocated, else AllocKmsg — which may block), records the entry
@@ -314,21 +305,14 @@ class NetIpc {
   void BeginBatch();
   void FlushBatch();
   void FlushStage(int dst_node, Stage& stage);
-  // Every wire emission funnels through here: passthrough for gbn, large
-  // packets, or outside a batch scope; otherwise staged for coalescing.
+  // Every wire emission funnels through here: passthrough for large packets
+  // or outside a batch scope; otherwise staged for coalescing.
   void TransmitPacket(int dst_node, const std::byte* bytes, std::uint32_t len);
 
   Kernel& kernel_;
   int node_id_;
   Network& net_;
   std::vector<NetIpc*> peers_;
-
-  // Protocol selection (KernelConfig::netipc_gbn). The gbn engine must stay
-  // byte-identical to the pre-v2 kernel, so every divergent quantity hangs
-  // off these three.
-  bool v2_ = true;
-  std::uint32_t header_bytes_ = kWireHeaderBytes;
-  std::uint32_t max_body_ = kMaxWireBody;
 
   Task* task_ = nullptr;           // The "netmsg" task: owns proxy ports.
   PortId proxy_set_ = kInvalidPort;
@@ -348,14 +332,14 @@ class NetIpc {
   std::map<PortId, std::set<int>> exported_;
   std::map<int, Channel> channels_;
 
-  // v2 lazy-OOL state. Exports are keyed by the cookie we minted; imports
+  // Lazy-OOL state. Exports are keyed by the cookie we minted; imports
   // by (source node, cookie) — deterministic keys, never raw pointers, so
   // iteration order (deadline scans) is identical across runs.
   std::uint32_t next_ool_cookie_ = 1;
   std::map<std::uint32_t, OolExport> ool_exports_;
   std::map<std::pair<int, std::uint32_t>, OolImport> imports_;
 
-  // v2 coalescing scope. Depth-counted so nested bursts (an outbound drain
+  // Coalescing scope. Depth-counted so nested bursts (an outbound drain
   // kicking the engine) flush once, at the outermost close.
   int batch_depth_ = 0;
   std::map<int, Stage> stage_;
@@ -367,8 +351,8 @@ class NetIpc {
 // table (kern/recognition.h) can key specialized wakeup handlers off their
 // addresses: a delivery to a parked protocol thread is serviced inline in
 // the waker's context and the thread re-parked, never scheduled. When the
-// handler declines (or the table is disabled) the general protocol body
-// runs on a donated or fresh stack — the pre-table behavior.
+// handler declines (or recognition is disabled) the general protocol body
+// runs on a donated or fresh stack.
 void NetIpcRecvContinue();
 void NetIpcAckContinue();
 

@@ -75,13 +75,11 @@ struct TelemetryPlane::AgentState {
       prev_tx = s.packets_tx;
       prev_rx = s.packets_rx;
       prev_retx = s.retransmits;
-      if (!k.config().netipc_gbn) {
-        r.has_net2 = 1;
-        r.net_apig = s.acks_piggybacked - prev_apig;
-        r.net_coal = s.frames_coalesced - prev_coal;
-        prev_apig = s.acks_piggybacked;
-        prev_coal = s.frames_coalesced;
-      }
+      r.has_net2 = 1;
+      r.net_apig = s.acks_piggybacked - prev_apig;
+      r.net_coal = s.frames_coalesced - prev_coal;
+      prev_apig = s.acks_piggybacked;
+      prev_coal = s.frames_coalesced;
     }
     if (k.watchdog() != nullptr) {
       r.stalls = k.watchdog()->stalls().size();
@@ -139,12 +137,10 @@ void TelemetryPlane::AgentThread(void* arg) {
     msg.header = MessageHeader{};
     msg.header.dest = a->dest;
     msg.header.msg_id = kTelemetryMsgId;
-    // Agents ship the shortest prefix covering their populated sections, so
-    // a plane without the newer extensions keeps its exact historical wire.
-    const std::uint32_t send_bytes =
-        report.has_svc != 0    ? static_cast<std::uint32_t>(sizeof(report))
-        : report.has_net2 != 0 ? static_cast<std::uint32_t>(kTelemetryNet2Bytes)
-                               : static_cast<std::uint32_t>(kTelemetryLegacyBytes);
+    // Agents ship the shortest prefix covering their populated sections:
+    // the service-fabric extension rides only when a fabric is attached.
+    const std::uint32_t send_bytes = static_cast<std::uint32_t>(
+        report.has_svc != 0 ? sizeof(report) : kTelemetryNet2Bytes);
     std::memcpy(msg.body, &report, send_bytes);
     UserMachMsg(&msg, kMsgSendOpt, send_bytes, 0, kInvalidPort);
   }
@@ -159,7 +155,7 @@ void TelemetryPlane::CollectorThread(void* arg) {
       return;
     }
     if (msg.header.msg_id != kTelemetryMsgId ||
-        msg.header.size < kTelemetryLegacyBytes) {
+        msg.header.size < kTelemetryNet2Bytes) {
       continue;
     }
     TelemetryReport report;
@@ -247,12 +243,10 @@ void TelemetryPlane::AppendRow(const TelemetryReport& r) {
   AppendU64(&out, r.net_rx);
   out += ",\"retx\":";
   AppendU64(&out, r.net_retx);
-  if (r.has_net2 != 0) {
-    out += ",\"apig\":";
-    AppendU64(&out, r.net_apig);
-    out += ",\"coal\":";
-    AppendU64(&out, r.net_coal);
-  }
+  out += ",\"apig\":";
+  AppendU64(&out, r.net_apig);
+  out += ",\"coal\":";
+  AppendU64(&out, r.net_coal);
   out += "},\"stalls\":";
   AppendU64(&out, r.stalls);
   if (r.has_slo != 0) {
@@ -325,7 +319,6 @@ struct TopRow {
   std::uint64_t tx = 0;
   std::uint64_t rx = 0;
   std::uint64_t retx = 0;
-  bool has_net2 = false;
   std::uint64_t apig = 0;
   std::uint64_t coal = 0;
   std::uint64_t stalls = 0;
@@ -365,7 +358,7 @@ std::string FormatTelemetryTable(const std::string& rows_jsonl) {
     ExtractU64(line, "tx", 0, &r.tx);
     ExtractU64(line, "rx", 0, &r.rx);
     ExtractU64(line, "retx", 0, &r.retx);
-    r.has_net2 = ExtractU64(line, "apig", 0, &r.apig);
+    ExtractU64(line, "apig", 0, &r.apig);
     ExtractU64(line, "coal", 0, &r.coal);
     ExtractU64(line, "stalls", 0, &r.stalls);
     std::size_t rpc = line.find("\"rpc\":{");
@@ -392,12 +385,10 @@ std::string FormatTelemetryTable(const std::string& rows_jsonl) {
     return a.node < b.node;
   });
 
-  // Extension columns appear only when some row carries them, so a stream
-  // without them renders exactly as it did before the extension existed.
-  bool any_net2 = false;
+  // Svc columns appear only when some row carries them, so a stream from a
+  // run without a service fabric renders without them.
   bool any_svc = false;
   for (const TopRow& r : rows) {
-    any_net2 = any_net2 || r.has_net2;
     any_svc = any_svc || r.has_svc;
   }
 
@@ -425,16 +416,10 @@ std::string FormatTelemetryTable(const std::string& rows_jsonl) {
     }
     out += s;
   };
-  if (any_net2) {
-    std::snprintf(buf, sizeof(buf),
-                  "%4s %5s %12s %6s %5s %7s %7s %6s %6s %6s %8s %9s %10s %5s %6s\n",
-                  "seq", "node", "t", "util%", "runq", "tx", "rx", "retx", "apig",
-                  "coal", "rpc_n", "rpc_p99", "rpc_p999", "viol", "stall");
-  } else {
-    std::snprintf(buf, sizeof(buf), "%4s %5s %12s %6s %5s %7s %7s %6s %8s %9s %10s %5s %6s\n",
-                  "seq", "node", "t", "util%", "runq", "tx", "rx", "retx", "rpc_n",
-                  "rpc_p99", "rpc_p999", "viol", "stall");
-  }
+  std::snprintf(buf, sizeof(buf),
+                "%4s %5s %12s %6s %5s %7s %7s %6s %6s %6s %8s %9s %10s %5s %6s\n",
+                "seq", "node", "t", "util%", "runq", "tx", "rx", "retx", "apig",
+                "coal", "rpc_n", "rpc_p99", "rpc_p999", "viol", "stall");
   append_line(buf, 0, 0, 0, /*header=*/true);
   std::uint64_t last_seq = 0;
   bool first = true;
@@ -444,41 +429,23 @@ std::string FormatTelemetryTable(const std::string& rows_jsonl) {
     }
     first = false;
     last_seq = r.seq;
-    if (any_net2) {
-      std::snprintf(buf, sizeof(buf),
-                    "%4llu %5llu %12llu %6.1f %5llu %7llu %7llu %6llu %6llu %6llu %8llu %9llu %10llu %5llu %6llu\n",
-                    static_cast<unsigned long long>(r.seq),
-                    static_cast<unsigned long long>(r.node),
-                    static_cast<unsigned long long>(r.t),
-                    static_cast<double>(r.util_permille) / 10.0,
-                    static_cast<unsigned long long>(r.runq),
-                    static_cast<unsigned long long>(r.tx),
-                    static_cast<unsigned long long>(r.rx),
-                    static_cast<unsigned long long>(r.retx),
-                    static_cast<unsigned long long>(r.apig),
-                    static_cast<unsigned long long>(r.coal),
-                    static_cast<unsigned long long>(r.rpc_count),
-                    static_cast<unsigned long long>(r.rpc_p99),
-                    static_cast<unsigned long long>(r.rpc_p999),
-                    static_cast<unsigned long long>(r.rpc_viol),
-                    static_cast<unsigned long long>(r.stalls));
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "%4llu %5llu %12llu %6.1f %5llu %7llu %7llu %6llu %8llu %9llu %10llu %5llu %6llu\n",
-                    static_cast<unsigned long long>(r.seq),
-                    static_cast<unsigned long long>(r.node),
-                    static_cast<unsigned long long>(r.t),
-                    static_cast<double>(r.util_permille) / 10.0,
-                    static_cast<unsigned long long>(r.runq),
-                    static_cast<unsigned long long>(r.tx),
-                    static_cast<unsigned long long>(r.rx),
-                    static_cast<unsigned long long>(r.retx),
-                    static_cast<unsigned long long>(r.rpc_count),
-                    static_cast<unsigned long long>(r.rpc_p99),
-                    static_cast<unsigned long long>(r.rpc_p999),
-                    static_cast<unsigned long long>(r.rpc_viol),
-                    static_cast<unsigned long long>(r.stalls));
-    }
+    std::snprintf(buf, sizeof(buf),
+                  "%4llu %5llu %12llu %6.1f %5llu %7llu %7llu %6llu %6llu %6llu %8llu %9llu %10llu %5llu %6llu\n",
+                  static_cast<unsigned long long>(r.seq),
+                  static_cast<unsigned long long>(r.node),
+                  static_cast<unsigned long long>(r.t),
+                  static_cast<double>(r.util_permille) / 10.0,
+                  static_cast<unsigned long long>(r.runq),
+                  static_cast<unsigned long long>(r.tx),
+                  static_cast<unsigned long long>(r.rx),
+                  static_cast<unsigned long long>(r.retx),
+                  static_cast<unsigned long long>(r.apig),
+                  static_cast<unsigned long long>(r.coal),
+                  static_cast<unsigned long long>(r.rpc_count),
+                  static_cast<unsigned long long>(r.rpc_p99),
+                  static_cast<unsigned long long>(r.rpc_p999),
+                  static_cast<unsigned long long>(r.rpc_viol),
+                  static_cast<unsigned long long>(r.stalls));
     append_line(buf, r.svc_backlog, r.svc_admitted, r.svc_shed,
                 /*header=*/false);
   }

@@ -65,9 +65,8 @@ struct TelemetryReport {
     std::uint64_t violations = 0;
   } kinds[3];                     // rpc / fault / exception.
 
-  // netipc v2 extension. Agents on a go-back-N cluster send only the
-  // legacy prefix (kTelemetryLegacyBytes), keeping the gbn wire and row
-  // stream byte-identical to the pre-v2 plane.
+  // netipc extension; every agent fills it (a cluster node always runs
+  // netipc), so kTelemetryNet2Bytes is the shortest report on the wire.
   std::uint32_t has_net2 = 0;
   std::uint32_t pad2 = 0;
   std::uint64_t net_apig = 0;     // Piggybacked acks since the last sample.
@@ -83,8 +82,6 @@ struct TelemetryReport {
   std::uint64_t svc_shed = 0;      // Requests shed since the last sample.
 };
 
-inline constexpr std::size_t kTelemetryLegacyBytes =
-    offsetof(TelemetryReport, has_net2);
 inline constexpr std::size_t kTelemetryNet2Bytes =
     offsetof(TelemetryReport, has_svc);
 

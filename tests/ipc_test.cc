@@ -357,24 +357,6 @@ TEST(PortGenerationTest, PortChurnKeepsTheTableBounded) {
   EXPECT_EQ(ipc.port_slots_free(), ipc.port_table_size());
 }
 
-TEST(PortGenerationTest, LegacyModeGrowsTheTableAndPinsDeadPorts) {
-  KernelConfig config;
-  config.port_generations = false;
-  Kernel kernel(config);
-  Task* task = kernel.CreateTask("t");
-  IpcSpace& ipc = kernel.ipc();
-
-  PortId a = ipc.AllocatePort(task);
-  ipc.DestroyPort(a);
-  PortId b = ipc.AllocatePort(task);
-  // Legacy append-only namespace: no reuse, distinct slots, table grows.
-  EXPECT_NE(a, b);
-  EXPECT_EQ(ipc.port_table_size(), 2u);
-  EXPECT_EQ(ipc.port_slots_free(), 0u);
-  EXPECT_EQ(ipc.Lookup(a), nullptr);  // Dead, but the slot is never recycled.
-  EXPECT_NE(ipc.Lookup(b), nullptr);
-}
-
 TEST(PortGenerationTest, DestroyTaskPortsRecyclesEverySlot) {
   KernelConfig config;
   Kernel kernel(config);

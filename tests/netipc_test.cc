@@ -469,26 +469,6 @@ TEST(NetIpcTest, ReorderedLossyClusterRunsAreDeterministic) {
   EXPECT_EQ(first, second);
 }
 
-TEST(NetIpcTest, GoBackNAblationSpeaksTheLegacyWireFormat) {
-  KernelConfig config;
-  config.netipc_gbn = true;
-  Cluster cluster(config, 2);
-  ClusterReport r = RunClusterRpcWorkload(cluster, SmallParams());
-  EXPECT_EQ(r.rpcs_ok, 10u);
-  EXPECT_EQ(r.rpcs_failed, 0u);
-  // The ablation runs the historical protocol: one immediate 48-byte ACK
-  // per DATA, no piggybacking, no coalescing, no SACK machinery.
-  EXPECT_EQ(r.net.acks_tx, 20u);
-  EXPECT_EQ(r.net.acks_piggybacked, 0u);
-  EXPECT_EQ(r.net.frames_coalesced, 0u);
-  EXPECT_EQ(r.net.fast_retransmits, 0u);
-  EXPECT_EQ(r.net.rx_ooo_buffered, 0u);
-  // 20 DATA packets of (48-byte header + 64-byte body) + 20 bare-header
-  // ACKs: the byte count pins the legacy framing exactly.
-  EXPECT_EQ(r.net.bytes_tx, 20u * (kWireHeaderBytesGbn + 64) +
-                                20u * kWireHeaderBytesGbn);
-}
-
 TEST(NetIpcTest, RetransmitBackoffIsCappedAndGivesUp) {
   KernelConfig config;
   LinkConfig link;

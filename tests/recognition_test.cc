@@ -1,5 +1,5 @@
 // The recognition table (src/kern/recognition.h): registration semantics,
-// the ablation contract (--no-recognition / --no-recognition-table), and the
+// the ablation contract (--no-recognition), and the
 // end-to-end wakeup-absorption paths the table enables — a lossy 2-node
 // cluster whose netipc protocol threads are resumed without ever being
 // scheduled.
@@ -95,7 +95,7 @@ TEST(RecognitionTableTest, ResetCountsClearsAccounting) {
 // --- Kernel registration surface --------------------------------------------
 
 TEST(RecognitionTableTest, KernelRegistersLegacyAndTableSites) {
-  KernelConfig config;  // MK40 defaults: table on.
+  KernelConfig config;  // MK40 defaults: recognition on.
   Kernel kernel(config);
   // The legacy §2.4 sites and the vm specialization are construction-time
   // table entries; the receive fast path is literally the first one.
@@ -104,18 +104,6 @@ TEST(RecognitionTableTest, KernelRegistersLegacyAndTableSites) {
   EXPECT_TRUE(kernel.recognition().HasSpecialization(&MachMsgContinue));
   EXPECT_TRUE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultRetryContinue));
   EXPECT_TRUE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultMapContinue));
-}
-
-TEST(RecognitionTableTest, TableDisabledKeepsOnlyLegacyEntries) {
-  KernelConfig config;
-  config.enable_recognition_table = false;
-  Kernel kernel(config);
-  // --no-recognition-table: only the pre-table dispatch surface registers —
-  // the ipc/exception entries ARE that surface; the vm and netipc
-  // specializations are table-era additions and must not appear.
-  EXPECT_TRUE(kernel.recognition().HasSpecialization(&MachMsgContinue));
-  EXPECT_FALSE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultRetryContinue));
-  EXPECT_FALSE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultMapContinue));
 }
 
 // --- End to end: wakeup absorption on a lossy cluster ------------------------
@@ -154,42 +142,22 @@ TEST(RecognitionTableTest, LossyClusterAbsorbsProtocolThreadWakeups) {
 }
 
 // The ablation contract's behavioral half (CI's determinism smoke does the
-// byte-level half): with recognition off, the run must not depend on whether
-// the specialization table exists at all — same schedule, same counters,
-// same virtual time.
-TEST(RecognitionTableTest, NoRecognitionIsIndependentOfTable) {
-  auto run = [](bool with_table) {
-    KernelConfig config;
-    config.seed = 7;
-    config.enable_recognition = false;
-    config.enable_recognition_table = with_table;
-    LinkConfig link;
-    link.drop_per_mille = 50;
-    Cluster cluster(config, 2, link);
-    ClusterReport r = RunClusterRpcWorkload(cluster, LossyParams());
-    struct Shape {
-      std::uint64_t rpcs_ok, retransmits, vtime, blocks0, blocks1, reco0, reco1;
-    };
-    return Shape{r.rpcs_ok,
-                 r.net.retransmits,
-                 r.virtual_time,
-                 cluster.node(0).transfer_stats().total_blocks,
-                 cluster.node(1).transfer_stats().total_blocks,
-                 cluster.node(0).transfer_stats().recognitions,
-                 cluster.node(1).transfer_stats().recognitions};
-  };
-  auto with = run(true);
-  auto without = run(false);
-  EXPECT_EQ(with.rpcs_ok, without.rpcs_ok);
-  EXPECT_EQ(with.retransmits, without.retransmits);
-  EXPECT_EQ(with.vtime, without.vtime);
-  EXPECT_EQ(with.blocks0, without.blocks0);
-  EXPECT_EQ(with.blocks1, without.blocks1);
-  // And with recognition off, nothing anywhere is recognized.
-  EXPECT_EQ(with.reco0, 0u);
-  EXPECT_EQ(with.reco1, 0u);
-  EXPECT_EQ(without.reco0, 0u);
-  EXPECT_EQ(without.reco1, 0u);
+// byte-level half): with recognition off the lossy run still completes, and
+// nothing anywhere is recognized — neither at resume nor at wakeup.
+TEST(RecognitionTableTest, NoRecognitionRecognizesNothing) {
+  KernelConfig config;
+  config.seed = 7;
+  config.enable_recognition = false;
+  LinkConfig link;
+  link.drop_per_mille = 50;
+  Cluster cluster(config, 2, link);
+  ClusterReport r = RunClusterRpcWorkload(cluster, LossyParams());
+  EXPECT_EQ(r.rpcs_ok, 100u);
+  for (int i = 0; i < 2; ++i) {
+    const TransferStats& ts = cluster.node(i).transfer_stats();
+    EXPECT_EQ(ts.recognitions, 0u) << "node " << i;
+    EXPECT_EQ(ts.wakeup_recognitions, 0u) << "node " << i;
+  }
 }
 
 }  // namespace

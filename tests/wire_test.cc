@@ -108,8 +108,10 @@ TEST(WireTest, RejectsTruncatedAndBadPackets) {
   WireHeader got;
   const std::byte* got_body = nullptr;
   std::uint32_t got_bytes = 0;
-  // Shorter than a header.
+  // Shorter than a header — including a bare 48-byte header without the
+  // ack/SACK/cookie extension.
   EXPECT_FALSE(WireDeserialize(out, kWireHeaderBytes - 1, &got, &got_body, &got_bytes));
+  EXPECT_FALSE(WireDeserialize(out, 48, &got, &got_body, &got_bytes));
   // DATA whose mach.size disagrees with the packet length.
   EXPECT_FALSE(WireDeserialize(out, len - 4, &got, &got_body, &got_bytes));
   // Unknown kind.
@@ -132,7 +134,7 @@ TEST(WireTest, OversizeBodyDoesNotSerialize) {
             static_cast<std::uint32_t>(kMaxInlineBytes));
 }
 
-// --- v2 extension (selective repeat) ----------------------------------------
+// --- Extension (selective repeat) -------------------------------------------
 
 TEST(WireTest, SackExtensionRoundTripsByteExact) {
   WireHeader w = MakeDataHeader(32);
@@ -166,68 +168,6 @@ TEST(WireTest, SackExtensionRoundTripsByteExact) {
   EXPECT_EQ(0, std::memcmp(&got, &w, sizeof(WireHeader)));
   ASSERT_EQ(got_bytes, 32u);
   EXPECT_EQ(0, std::memcmp(got_body, body, 32));
-}
-
-TEST(WireTest, LegacyFormatCarriesNoExtension) {
-  WireHeader w = MakeDataHeader(16);
-  w.sack = ~0ull;
-  w.ack = 9;
-  w.ool_cookie = 1;
-  std::byte body[16] = {};
-  std::byte out[kMaxInlineBytes];
-  std::uint32_t len =
-      WireSerialize(w, body, 16, out, sizeof(out), kWireHeaderBytesGbn);
-  // The gbn packet is exactly the pre-v2 48-byte header plus body.
-  ASSERT_EQ(len, kWireHeaderBytesGbn + 16);
-
-  WireHeader got;
-  const std::byte* got_body = nullptr;
-  std::uint32_t got_bytes = 0;
-  ASSERT_TRUE(WireDeserialize(out, len, &got, &got_body, &got_bytes,
-                              kWireHeaderBytesGbn));
-  // The legacy prefix survives byte-exactly; the extension parses as zero.
-  EXPECT_EQ(0, std::memcmp(&got, &w, kWireHeaderBytesGbn));
-  EXPECT_EQ(got.sack, 0u);
-  EXPECT_EQ(got.ack, 0u);
-  EXPECT_EQ(got.ool_cookie, 0u);
-  EXPECT_EQ(got_bytes, 16u);
-}
-
-TEST(WireTest, LegacyFormatRejectsV2Kinds) {
-  const WireKind v2_kinds[] = {WireKind::kFrameBatch, WireKind::kOolPull,
-                               WireKind::kOolData};
-  for (WireKind kind : v2_kinds) {
-    WireHeader w;
-    w.kind = static_cast<std::uint32_t>(kind);
-    w.src_node = 1;
-    w.seq = 7;
-    w.mach.size = 0;
-    std::byte out[kMaxInlineBytes];
-    std::uint32_t len =
-        WireSerialize(w, nullptr, 0, out, sizeof(out), kWireHeaderBytesGbn);
-    ASSERT_EQ(len, kWireHeaderBytesGbn);
-    WireHeader got;
-    const std::byte* got_body = nullptr;
-    std::uint32_t got_bytes = 0;
-    EXPECT_FALSE(WireDeserialize(out, len, &got, &got_body, &got_bytes,
-                                 kWireHeaderBytesGbn))
-        << "legacy format accepted v2 kind " << w.kind;
-  }
-  // The same OOL_PULL packet is well-formed in the v2 format.
-  WireHeader w;
-  w.kind = static_cast<std::uint32_t>(WireKind::kOolPull);
-  w.src_node = 1;
-  w.seq = 7;
-  w.ool_cookie = 42;
-  w.mach.size = 0;
-  std::byte out[kMaxInlineBytes];
-  std::uint32_t len = WireSerialize(w, nullptr, 0, out, sizeof(out));
-  ASSERT_EQ(len, kWireHeaderBytes);
-  WireHeader got;
-  const std::byte* got_body = nullptr;
-  std::uint32_t got_bytes = 0;
-  EXPECT_TRUE(WireDeserialize(out, len, &got, &got_body, &got_bytes));
-  EXPECT_EQ(got.ool_cookie, 42u);
 }
 
 TEST(WireTest, SmallRpcRidesTheSmallKmsgZone) {

@@ -1,5 +1,5 @@
 // Unit tests for the zone allocator and the kmsg zones behind IpcSpace:
-// cycle-charging exactness (the byte-identical-when-disabled guarantee),
+// cycle-charging exactness (magazines off costs exactly the plain freelist),
 // magazine behavior, size-class routing, and cross-run determinism.
 #include <gtest/gtest.h>
 
@@ -109,9 +109,9 @@ TEST(ZoneTest, KmsgAllocRoutesBySizeClass) {
   EXPECT_EQ(ipc.kmsg_full_zone().stats().in_use, 0u);
 }
 
-TEST(ZoneTest, FlagOffKmsgPathChargesTheLegacyCostExactly) {
+TEST(ZoneTest, DepthZeroKmsgPathChargesThePlainCostExactly) {
   KernelConfig config;
-  config.ipc_kmsg_zones = false;
+  config.kmsg_magazine_depth = 0;
   Kernel kernel(config);
   IpcSpace& ipc = kernel.ipc();
 
@@ -120,14 +120,13 @@ TEST(ZoneTest, FlagOffKmsgPathChargesTheLegacyCostExactly) {
     ipc.FreeKmsg(ipc.AllocKmsg(64));
   }
 
-  // With the flag off everything rides the full zone bare-depot path at the
-  // pre-zone freelist's exact price — the byte-identical guarantee.
+  // Without magazines every kmsg pays the bare depot's per-element price —
+  // the "magazines off" leg of bench_ipc_alloc relies on exactly this.
   const ZoneStats& small = ipc.kmsg_small_zone().stats();
   const ZoneStats& full = ipc.kmsg_full_zone().stats();
-  EXPECT_EQ(small.allocs, 0u);
-  EXPECT_EQ(full.allocs, kOps);
-  EXPECT_EQ(full.magazine_hits, 0u);
-  EXPECT_EQ(full.alloc_cycles, kOps * (kCycKmsgAlloc + kCycKmsgFree));
+  EXPECT_EQ(small.magazine_hits + full.magazine_hits, 0u);
+  EXPECT_EQ(small.alloc_cycles + full.alloc_cycles,
+            kOps * (kCycKmsgAlloc + kCycKmsgFree));
 }
 
 struct FarmZoneCapture {

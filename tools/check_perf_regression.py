@@ -17,9 +17,9 @@ bench/baselines/ and fails when:
     the selective-repeat engine's win under loss is the headline) drops more
     than --tolerance below baseline, or any swept drop point reports
     give_ups > 0 (RPCs must survive loss via retransmission, never
-    dead-name), or a lossy point stops beating the go-back-N ablation run of
-    the same sweep — in throughput or in wire bytes spent (selective repeat
-    resends holes, not whole windows), or
+    dead-name), or a lossy point stops beating the go-back-N engine's frozen
+    numbers recorded in the baseline — in throughput or in wire bytes spent
+    (selective repeat resends holes, not whole windows), or
   * recognition: any per-continuation recognition site that the baseline
     shows as recognized (recognized > 0) stops being recognized, or its
     recognition rate falls more than --tolerance below the baseline rate —
@@ -189,7 +189,8 @@ def check_netipc(base, cur, tolerance):
         # Every drop point gates throughput: the drop=20 point is where the
         # selective-repeat win over go-back-N lives, so losing it is as much
         # a regression as losing the loss-free number.
-        want = base_points[drop]["rpc_per_mtick"]
+        base_p = base_points[drop]
+        want = base_p["rpc_per_mtick"]
         floor = want * (1.0 - tolerance)
         if got < floor:
             status = "REGRESSION"
@@ -203,22 +204,25 @@ def check_netipc(base, cur, tolerance):
                 f"netipc @ drop={drop}: {give_ups} RPC give-ups — the "
                 f"retransmit protocol must ride out the swept loss rates"
             )
-        # The sweep runs every point twice (v2 + go-back-N ablation); under
-        # loss, v2 must stay ahead on throughput and spend fewer wire bytes.
-        gbn = cur_p.get("gbn_rpc_per_mtick")
+        # Under loss, selective repeat must stay ahead of go-back-N on
+        # throughput and spend fewer wire bytes. The go-back-N engine no
+        # longer exists, so its numbers are read from the baseline: they are
+        # frozen history and must be carried over unchanged by any
+        # re-baseline of netipc.json.
+        gbn = base_p.get("gbn_rpc_per_mtick")
         if drop > 0 and gbn is not None:
             if got < gbn:
                 status = "REGRESSION"
                 failures.append(
                     f"netipc @ drop={drop}: v2 rpc_per_mtick {got:.2f} fell "
-                    f"behind the go-back-N ablation ({gbn:.2f})"
+                    f"behind go-back-N's recorded {gbn:.2f}"
                 )
-            if cur_p["bytes_tx"] >= cur_p["gbn_bytes_tx"]:
+            if cur_p["bytes_tx"] >= base_p["gbn_bytes_tx"]:
                 status = "REGRESSION"
                 failures.append(
                     f"netipc @ drop={drop}: v2 sent {cur_p['bytes_tx']} wire "
-                    f"bytes >= go-back-N's {cur_p['gbn_bytes_tx']} — selective "
-                    f"repeat must resend holes, not whole windows"
+                    f"bytes >= go-back-N's recorded {base_p['gbn_bytes_tx']} — "
+                    f"selective repeat must resend holes, not whole windows"
                 )
         print(
             f"  netipc drop={drop}/1000: rpc_per_mtick {got:.2f} "

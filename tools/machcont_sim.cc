@@ -11,10 +11,6 @@
 //     --pages=N                      physical pages         (default 4096)
 //     --no-handoff                   disable stack handoff  (MK40 ablation)
 //     --no-recognition               disable recognition    (MK40 ablation)
-//     --no-recognition-table         keep recognition, drop the specialization
-//                                    table (legacy pointer-compare behavior)
-//     --no-kmsg-zones                disable kmsg magazine caching
-//     --no-port-gens                 disable generation-tagged port names
 //     --table                        print the Table 1/2 style breakdown
 //     --hist                         print the latency histogram summary
 //     --trace=N                      trace ring capacity (0 disables)
@@ -28,7 +24,6 @@
 //     --nodes=N                      simulated machines     (default 1)
 //     --drop=RATE                    network drop probability [0,1)
 //     --reorder=RATE                 network reorder probability [0,1)
-//     --netipc-gbn                   legacy go-back-N netipc (v2 ablation)
 //     --slo                          arm the windowed SLO tracker
 //     --slo-window=N                 SLO sliding window width (implies --slo)
 //     --slo-subwindows=N             sub-windows per window   (default 8)
@@ -90,13 +85,12 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--workload=compile|build|dos|farm|rpc] [--model=mk40|mk32|mach25]\n"
                "          [--scale=N] [--cpus=N] [--seed=N] [--quantum=N] [--pages=N]\n"
-               "          [--no-handoff] [--no-recognition] [--no-recognition-table]\n"
-               "          [--no-kmsg-zones] [--no-port-gens]\n"
+               "          [--no-handoff] [--no-recognition]\n"
                "          [--table] [--hist]\n"
                "          [--trace=N] [--trace-out=FILE] [--metrics-json=FILE|-]\n"
                "          [--profile=N] [--profile-out=FILE|-] [--flight=N]\n"
                "          [--flight-out=FILE|-] [--watchdog=N]\n"
-               "          [--nodes=N] [--drop=RATE] [--reorder=RATE] [--netipc-gbn]\n"
+               "          [--nodes=N] [--drop=RATE] [--reorder=RATE]\n"
                "          [--slo] [--slo-window=N] [--slo-subwindows=N]\n"
                "          [--slo-target-rpc=N] [--slo-target-fault=N] [--slo-target-exc=N]\n"
                "          [--slo-out=FILE|-]\n"
@@ -191,22 +185,18 @@ void CaptureObservability(mkc::Kernel& kernel, void* arg) {
       cap->cpu_text += line;
     }
   }
-  if (kernel.config().ipc_kmsg_zones) {
-    // Per-zone summary; only when the zones flag is on so the legacy
-    // summary stays byte-identical under --no-kmsg-zones.
-    for (const mkc::Zone* zone :
-         {&kernel.ipc().kmsg_small_zone(), &kernel.ipc().kmsg_full_zone()}) {
-      const mkc::ZoneStats& zs = zone->stats();
-      char line[192];
-      std::snprintf(line, sizeof(line),
-                    "zone %-10s ... in-use=%llu high-water=%llu created=%llu "
-                    "magazine-hit-rate=%.1f%%\n",
-                    zone->name().c_str(), static_cast<unsigned long long>(zs.in_use),
-                    static_cast<unsigned long long>(zs.high_water),
-                    static_cast<unsigned long long>(zs.created),
-                    100.0 * zs.MagazineHitRate());
-      cap->zone_text += line;
-    }
+  for (const mkc::Zone* zone :
+       {&kernel.ipc().kmsg_small_zone(), &kernel.ipc().kmsg_full_zone()}) {
+    const mkc::ZoneStats& zs = zone->stats();
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  "zone %-10s ... in-use=%llu high-water=%llu created=%llu "
+                  "magazine-hit-rate=%.1f%%\n",
+                  zone->name().c_str(), static_cast<unsigned long long>(zs.in_use),
+                  static_cast<unsigned long long>(zs.high_water),
+                  static_cast<unsigned long long>(zs.created),
+                  100.0 * zs.MagazineHitRate());
+    cap->zone_text += line;
   }
   cap->trace_recorded = kernel.trace().recorded();
   cap->trace_retained = kernel.trace().retained();
@@ -416,8 +406,6 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       reorder_per_mille = static_cast<std::uint32_t>(d * 1000.0 + 0.5);
-    } else if (arg == "--netipc-gbn") {
-      config.netipc_gbn = true;
     } else if (arg == "--slo") {
       slo = true;
     } else if (arg.rfind("--slo-window=", 0) == 0) {
@@ -515,12 +503,6 @@ int main(int argc, char** argv) {
       config.enable_handoff = false;
     } else if (arg == "--no-recognition") {
       config.enable_recognition = false;
-    } else if (arg == "--no-recognition-table") {
-      config.enable_recognition_table = false;
-    } else if (arg == "--no-kmsg-zones") {
-      config.ipc_kmsg_zones = false;
-    } else if (arg == "--no-port-gens") {
-      config.port_generations = false;
     } else if (arg == "--table") {
       table = true;
     } else if (arg == "--hist") {
@@ -725,9 +707,6 @@ int main(int argc, char** argv) {
     if (reorder_per_mille > 0) {
       std::fprintf(human, ", reorder %u/1000", reorder_per_mille);
     }
-    if (config.netipc_gbn) {
-      std::fprintf(human, ", go-back-N");
-    }
     std::fprintf(human, "\n");
     std::fprintf(human,
                  "summary: rpcs=%llu failed=%llu retransmits=%llu giveups=%llu "
@@ -769,28 +748,26 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(ns.rx_ooo_buffered),
                    static_cast<unsigned long long>(ns.rx_ooo_hw));
     }
-    if (!config.netipc_gbn) {
-      const double goodput_ratio =
-          r.net.bytes_tx > 0
-              ? static_cast<double>(r.net.bytes_goodput) /
-                    static_cast<double>(r.net.bytes_tx)
-              : 0.0;
+    const double goodput_ratio =
+        r.net.bytes_tx > 0
+            ? static_cast<double>(r.net.bytes_goodput) /
+                  static_cast<double>(r.net.bytes_tx)
+            : 0.0;
+    std::fprintf(human,
+                 "protocol v2 ....... piggybacked=%llu coalesced=%llu "
+                 "fast-retx=%llu ooo-buffered=%llu goodput/raw=%.3f\n",
+                 static_cast<unsigned long long>(r.net.acks_piggybacked),
+                 static_cast<unsigned long long>(r.net.frames_coalesced),
+                 static_cast<unsigned long long>(r.net.fast_retransmits),
+                 static_cast<unsigned long long>(r.net.rx_ooo_buffered),
+                 goodput_ratio);
+    if (r.net.ool_pulls > 0 || r.net.ool_pull_fails > 0) {
       std::fprintf(human,
-                   "protocol v2 ....... piggybacked=%llu coalesced=%llu "
-                   "fast-retx=%llu ooo-buffered=%llu goodput/raw=%.3f\n",
-                   static_cast<unsigned long long>(r.net.acks_piggybacked),
-                   static_cast<unsigned long long>(r.net.frames_coalesced),
-                   static_cast<unsigned long long>(r.net.fast_retransmits),
-                   static_cast<unsigned long long>(r.net.rx_ooo_buffered),
-                   goodput_ratio);
-      if (r.net.ool_pulls > 0 || r.net.ool_pull_fails > 0) {
-        std::fprintf(human,
-                     "ool ............... pulls=%llu pushes=%llu bytes=%llu fails=%llu\n",
-                     static_cast<unsigned long long>(r.net.ool_pulls),
-                     static_cast<unsigned long long>(r.net.ool_pushes),
-                     static_cast<unsigned long long>(r.net.ool_bytes_pulled),
-                     static_cast<unsigned long long>(r.net.ool_pull_fails));
-      }
+                   "ool ............... pulls=%llu pushes=%llu bytes=%llu fails=%llu\n",
+                   static_cast<unsigned long long>(r.net.ool_pulls),
+                   static_cast<unsigned long long>(r.net.ool_pushes),
+                   static_cast<unsigned long long>(r.net.ool_bytes_pulled),
+                   static_cast<unsigned long long>(r.net.ool_pull_fails));
     }
 
     for (int i = 0; i < nodes; ++i) {
