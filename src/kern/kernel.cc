@@ -26,6 +26,10 @@ namespace {
 
 Kernel* g_active_kernel = nullptr;
 
+// Per-CPU free-stack cache depth (ncpu > 1 only); overflow goes to the
+// global pool governed by KernelConfig::stack_cache_limit.
+constexpr std::size_t kCpuStackCacheLimit = 8;
+
 // Stack-pool observer: emits a kStackPoolSize counter event after every
 // Allocate/Free. Installed only when tracing is enabled, so a disabled trace
 // costs the pool nothing (not even the null check it would otherwise share).
@@ -112,18 +116,13 @@ Kernel::Kernel(const KernelConfig& config)
     watchdog_ = std::make_unique<StallWatchdog>(config_.watchdog_threshold);
   }
   obs_tick_armed_ = profiler_ != nullptr || watchdog_ != nullptr;
-  // Per-continuation accounting follows the profiler: machcont_prof's
-  // recognition-rate table is profiler output, and keeping the counters dark
-  // otherwise preserves the zero-overhead-off guarantee.
+  // Per-continuation accounting follows the profiler: the recognition-rate
+  // table (machcont_sim --report) is profiler output, and keeping the
+  // counters dark otherwise preserves the zero-overhead-off guarantee.
   cont_accounting_ = profiler_ != nullptr;
   if (config_.slo_window > 0) {
     SloConfig slo_config;
     slo_config.window = config_.slo_window;
-    slo_config.subwindows = config_.slo_subwindows;
-    slo_config.target_rpc = config_.slo_target_rpc;
-    slo_config.target_fault = config_.slo_target_fault;
-    slo_config.target_exc = config_.slo_target_exc;
-    slo_config.objective_permille = config_.slo_objective_permille;
     slo_ = std::make_unique<SloTracker>(slo_config, config_.node_id);
     // The "slo" block rides in the metrics dump only while armed, so a dump
     // with the plane off stays byte-identical to a pre-SLO build.
@@ -136,9 +135,6 @@ Kernel::Kernel(const KernelConfig& config)
   if (trace_.enabled() && config_.trace_tail_sample) {
     TailSamplingConfig tail;
     tail.enabled = true;
-    tail.tail_k = config_.trace_tail_k;
-    tail.head_every = config_.trace_head_every;
-    tail.chain_cap = config_.trace_chain_cap;
     trace_.ConfigureTailSampling(tail);
   }
 }
@@ -873,7 +869,7 @@ void Kernel::FreeStack(KernelStack* stack) {
     return;
   }
   Processor& cpu = processor();
-  if (cpu.stack_cache.Size() < config_.cpu_stack_cache_limit) {
+  if (cpu.stack_cache.Size() < kCpuStackCacheLimit) {
     MKC_ASSERT(stack != nullptr);
     stack->CheckCanary();
     stack->owner = nullptr;

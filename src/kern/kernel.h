@@ -76,9 +76,6 @@ struct KernelConfig {
   // Host-interleave granularity: a CPU hands the host thread to the next
   // CPU after this many local ticks at the clock-interrupt safe point.
   Ticks cpu_slice = 5000;
-  // Per-CPU free-stack cache depth (ncpu > 1 only); overflow goes to the
-  // global pool governed by stack_cache_limit.
-  std::size_t cpu_stack_cache_limit = 8;
 
   Ticks quantum = 10000;          // Virtual ticks per scheduling quantum.
   std::uint32_t physical_pages = 4096;  // Simulated physical memory.
@@ -127,23 +124,17 @@ struct KernelConfig {
   // ("slo" block) and flight-recorder rows. Off (the default) the tracker
   // does not exist and all output is byte-identical to a pre-SLO build.
   // Like the profiler, the tracker charges no cycles: arming it never moves
-  // virtual time.
+  // virtual time. Sub-windows, targets and objective are SloConfig's
+  // defaults.
   Ticks slo_window = 0;           // Sliding-window width; 0 = SLO plane off.
-  int slo_subwindows = 8;         // Window granularity (ring slots).
-  Ticks slo_target_rpc = 25000;   // Per-kind latency targets (0 = no target).
-  Ticks slo_target_fault = 12000;
-  Ticks slo_target_exc = 12000;
-  std::uint32_t slo_objective_permille = 990;  // 990 = 99.0% within target.
 
   // --- Tail-based trace sampling (core/trace.h) ---------------------------
   // With tracing on, retain complete span chains only for the 1-in-N head
   // sample and the K slowest requests of each kind, instead of letting the
-  // ring overwrite arbitrary prefixes. Off, the ring behaves exactly as
-  // before (byte-identical traces).
+  // ring overwrite arbitrary prefixes (K, N and the per-chain cap are
+  // TailSamplingConfig's defaults). Off, the ring behaves exactly as before
+  // (byte-identical traces).
   bool trace_tail_sample = false;
-  int trace_tail_k = 8;             // Slowest chains kept per span kind.
-  std::uint32_t trace_head_every = 64;  // Deterministic head-sample rate.
-  std::size_t trace_chain_cap = 1024;   // Records buffered per span chain.
 };
 
 // Stable pointers into the metrics registry for the hot-path latency

@@ -82,10 +82,10 @@ class RecognitionTable {
   // in their destructor). Unknown pointers are ignored.
   void Unregister(Continuation fn);
 
-  // The consult: the entry for `fn`, or null when none exists or the table
-  // is disabled — so a disabled table makes every site fall back.
+  // The consult: the entry for `fn`, or null when none is registered. The
+  // const overload is the report-side view.
   RecognitionEntry* Find(Continuation fn) {
-    if (!enabled_ || fn == nullptr) {
+    if (fn == nullptr) {
       return nullptr;
     }
     for (auto& e : entries_) {
@@ -95,20 +95,9 @@ class RecognitionTable {
     }
     return nullptr;
   }
-
-  // Report-side lookup: ignores enabled_ (a report should show registered
-  // specializations even in table-disabled ablation runs).
-  bool HasSpecialization(Continuation fn) const {
-    for (const auto& e : entries_) {
-      if (e.fn == fn) {
-        return true;
-      }
-    }
-    return false;
+  const RecognitionEntry* Find(Continuation fn) const {
+    return const_cast<RecognitionTable*>(this)->Find(fn);
   }
-
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   const std::vector<RecognitionEntry>& entries() const { return entries_; }
 
@@ -116,7 +105,6 @@ class RecognitionTable {
 
  private:
   std::vector<RecognitionEntry> entries_;
-  bool enabled_ = true;
 };
 
 // Per-subsystem registration hooks, implemented next to the handlers they

@@ -106,7 +106,7 @@ std::string ContinuationRegistry::ReportTable(const RecognitionTable* specializa
     // recognition table — a zero "recognized" count on a starred row means
     // the handler kept declining, which is worth a look.
     const bool specialized =
-        specializations != nullptr && specializations->HasSpecialization(e->fn);
+        specializations != nullptr && specializations->Find(e->fn) != nullptr;
     std::snprintf(line, sizeof(line), "%-28s %10llu %10llu %12llu %7.1f%%%s\n",
                   e->name.c_str(), static_cast<unsigned long long>(e->blocks),
                   static_cast<unsigned long long>(e->resumes),

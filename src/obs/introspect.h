@@ -13,7 +13,7 @@
 //    {name, scheduling state, block reason, continuation, wait object} — the
 //    frames a flamegraph shows for a thread that has no frames.
 //  * DescribeThread renders the same reconstruction as one human-readable
-//    line (watchdog reports, machcont_prof --threads).
+//    line (watchdog stall reports).
 //
 // Registration happens at construction time (kernel and subsystem ctors) and
 // costs nothing at runtime; the Note* accounting hooks are called behind the

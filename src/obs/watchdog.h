@@ -17,9 +17,9 @@
 //
 // Each suspect is flagged once (deduplicated by kind and thread), emits a
 // kStallWarn trace event when the trace ring is enabled, and lands in the
-// end-of-run stall report that machcont_sim and machcont_prof print. Like
-// the profiler, the watchdog is a pure observer: it charges no cycles and
-// never perturbs the simulation.
+// end-of-run stall report that machcont_sim prints. Like the profiler, the
+// watchdog is a pure observer: it charges no cycles and never perturbs the
+// simulation.
 //
 // Internal kernel threads (netipc protocol threads, the pager, the reaper)
 // legitimately block forever between work items and are exempt from the

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "src/ipc/mach_msg.h"
 #include "src/kern/kernel.h"
@@ -30,7 +31,7 @@ TEST(RecognitionTableTest, RegisterLookupUnregister) {
   RecognitionTable table;
   EXPECT_EQ(table.Find(&ContA), nullptr);
   EXPECT_EQ(table.Find(nullptr), nullptr);
-  EXPECT_FALSE(table.HasSpecialization(&ContA));
+  EXPECT_EQ(std::as_const(table).Find(&ContA), nullptr);
 
   table.Register(&ContA, &HandoffNever, nullptr);
   table.Register(&ContB, nullptr, &WakeupNever);
@@ -43,11 +44,11 @@ TEST(RecognitionTableTest, RegisterLookupUnregister) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->on_handoff, nullptr);
   EXPECT_EQ(b->on_wakeup, &WakeupNever);
-  EXPECT_TRUE(table.HasSpecialization(&ContA));
+  EXPECT_NE(std::as_const(table).Find(&ContA), nullptr);
 
   table.Unregister(&ContA);
   EXPECT_EQ(table.Find(&ContA), nullptr);
-  EXPECT_FALSE(table.HasSpecialization(&ContA));
+  EXPECT_EQ(std::as_const(table).Find(&ContA), nullptr);
   EXPECT_NE(table.Find(&ContB), nullptr);
   // Unregistering a pointer that was never registered is a no-op (late
   // subsystems unregister unconditionally in their destructors).
@@ -62,20 +63,6 @@ TEST(RecognitionTableTest, DuplicateRegistrationPanics) {
   // the second claimant must die loudly, not silently shadow the first.
   EXPECT_DEATH(table.Register(&ContA, nullptr, &WakeupNever),
                "duplicate registration");
-}
-
-TEST(RecognitionTableTest, DisabledTableFallsBackButKeepsReportView) {
-  RecognitionTable table;
-  table.Register(&ContA, &HandoffNever, nullptr);
-  table.set_enabled(false);
-  // Every consult site goes through Find: a disabled table makes all of
-  // them fall back to the general continuation path...
-  EXPECT_EQ(table.Find(&ContA), nullptr);
-  // ...but the report-side view still shows what is registered, so ablation
-  // runs still print which sites have specializations.
-  EXPECT_TRUE(table.HasSpecialization(&ContA));
-  table.set_enabled(true);
-  EXPECT_NE(table.Find(&ContA), nullptr);
 }
 
 TEST(RecognitionTableTest, ResetCountsClearsAccounting) {
@@ -101,9 +88,9 @@ TEST(RecognitionTableTest, KernelRegistersLegacyAndTableSites) {
   // table entries; the receive fast path is literally the first one.
   ASSERT_FALSE(kernel.recognition().entries().empty());
   EXPECT_EQ(kernel.recognition().entries()[0].fn, &MachMsgContinue);
-  EXPECT_TRUE(kernel.recognition().HasSpecialization(&MachMsgContinue));
-  EXPECT_TRUE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultRetryContinue));
-  EXPECT_TRUE(kernel.recognition().HasSpecialization(&VmSystem::VmFaultMapContinue));
+  EXPECT_NE(std::as_const(kernel.recognition()).Find(&MachMsgContinue), nullptr);
+  EXPECT_NE(std::as_const(kernel.recognition()).Find(&VmSystem::VmFaultRetryContinue), nullptr);
+  EXPECT_NE(std::as_const(kernel.recognition()).Find(&VmSystem::VmFaultMapContinue), nullptr);
 }
 
 // --- End to end: wakeup absorption on a lossy cluster ------------------------
