@@ -65,6 +65,17 @@ void BM_MakeContextAndJump(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeContextAndJump);
 
+// Fresh-stack entry + restore-only jump back: the TrapEnter pattern (and,
+// minus the save, CallContinuation's). No frame is built.
+void BM_SwitchFreshAndJumpBack(benchmark::State& state) {
+  std::vector<std::uint8_t> stack(kStackSize);
+  JumpState js;
+  for (auto _ : state) {
+    ContextSwitchFresh(&js.main_ctx, stack.data(), stack.size(), &JumpBackEntry, nullptr, &js);
+  }
+}
+BENCHMARK(BM_SwitchFreshAndJumpBack);
+
 // Frame construction alone.
 void BM_MakeContext(benchmark::State& state) {
   std::vector<std::uint8_t> stack(kStackSize);

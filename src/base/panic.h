@@ -9,11 +9,13 @@
 
 namespace mkc {
 
-// Prints a formatted message to stderr and aborts. Never returns.
-[[noreturn]] void Panic(const char* format, ...) __attribute__((format(printf, 1, 2)));
+// Prints a formatted message to stderr and aborts. Never returns. Cold, so
+// the compiler lays out every failed-check branch away from the hot path.
+[[noreturn, gnu::cold]] void Panic(const char* format, ...)
+    __attribute__((format(printf, 1, 2)));
 
 namespace panic_detail {
-[[noreturn]] void AssertFailed(const char* expr, const char* file, int line);
+[[noreturn, gnu::cold]] void AssertFailed(const char* expr, const char* file, int line);
 }  // namespace panic_detail
 
 }  // namespace mkc

@@ -2,6 +2,7 @@
 // thread_dispatch, built on the Figure 3 machine-dependent interface.
 #include "src/core/control.h"
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/kern/kernel.h"
 #include "src/machine/cycle_model.h"
@@ -9,7 +10,7 @@
 
 namespace mkc {
 
-Continuation TakeContinuation(Thread* thread) {
+MKC_TRANSFER_PATH Continuation TakeContinuation(Thread* thread) {
   Continuation cont = thread->continuation;
   thread->continuation = nullptr;
   return cont;
@@ -20,7 +21,7 @@ namespace {
 // A still-runnable thread going back on the invoking CPU's queue
 // (preemption-style block). Stamp it so its next dispatch records run-queue
 // wait rather than wakeup→run delay.
-void RequeuePreempted(Kernel& k, Thread* thread) {
+MKC_TRANSFER_PATH void RequeuePreempted(Kernel& k, Thread* thread) {
   thread->runnable_start = k.LatencyNow();
   thread->runnable_from = RunnableFrom::kRequeue;
   k.run_queue().Enqueue(thread);
@@ -32,7 +33,7 @@ void RequeuePreempted(Kernel& k, Thread* thread) {
 // the recognition-check cycles — the mach_msg and exception fast-path sites
 // charge unconditionally, while the scheduler handoff path pays only when a
 // handler actually exists.
-void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
+MKC_TRANSFER_PATH void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
   if (!k.config().enable_recognition) {
     return;
   }
@@ -54,7 +55,7 @@ void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
 
 }  // namespace
 
-[[noreturn]] void ResumeAfterHandoff(Thread* resumed) {
+MKC_TRANSFER_PATH [[noreturn]] void ResumeAfterHandoff(Thread* resumed) {
   Kernel& k = ActiveKernel();
   MKC_ASSERT(CurrentThread() == resumed);
   // Examining the continuation costs the same few cycles whether or not
@@ -65,7 +66,7 @@ void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
   CallContinuation(TakeContinuation(resumed));
 }
 
-void ThreadDispatch(Thread* old_thread) {
+MKC_TRANSFER_PATH void ThreadDispatch(Thread* old_thread) {
   if (old_thread == nullptr) {
     return;  // First activation after boot: nothing preceded us.
   }
@@ -82,7 +83,7 @@ void ThreadDispatch(Thread* old_thread) {
   }
 }
 
-[[noreturn]] void ThreadContinue(Thread* old_thread, Thread* self) {
+MKC_TRANSFER_PATH [[noreturn]] void ThreadContinue(Thread* old_thread, Thread* self) {
   // Entry point of a freshly attached stack (installed by ThreadBlock's
   // attach path and by boot). Dispose of whoever ran before us, then run our
   // own continuation.
@@ -98,7 +99,7 @@ namespace {
 
 // Common core of ThreadBlock / ThreadRunDirected. `next` is null for
 // scheduler selection, non-null for a directed switch.
-void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
+MKC_TRANSFER_PATH void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
   Kernel& k = ActiveKernel();
   Thread* old_thread = CurrentThread();
 
@@ -164,9 +165,11 @@ void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
 
 }  // namespace
 
-void ThreadBlock(Continuation cont, BlockReason reason) { BlockCommon(cont, reason, nullptr); }
+MKC_TRANSFER_PATH void ThreadBlock(Continuation cont, BlockReason reason) {
+  BlockCommon(cont, reason, nullptr);
+}
 
-void ThreadRunDirected(Thread* next, BlockReason reason) {
+MKC_TRANSFER_PATH void ThreadRunDirected(Thread* next, BlockReason reason) {
   MKC_ASSERT(next != nullptr);
   MKC_ASSERT_MSG(next->state != ThreadState::kRunning, "directed switch to a running thread");
   if (next->state == ThreadState::kRunnable && IntrusiveQueue<Thread, &Thread::run_link>::OnAQueue(next)) {
@@ -177,7 +180,7 @@ void ThreadRunDirected(Thread* next, BlockReason reason) {
   BlockCommon(nullptr, reason, next);
 }
 
-void ThreadHandoff(Continuation cont, Thread* next, BlockReason reason) {
+MKC_TRANSFER_PATH void ThreadHandoff(Continuation cont, Thread* next, BlockReason reason) {
   Kernel& k = ActiveKernel();
   Thread* old_thread = CurrentThread();
 

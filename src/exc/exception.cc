@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/core/control.h"
 #include "src/ipc/ipc_space.h"
@@ -17,7 +18,7 @@ namespace {
 
 // Parks the faulting thread on its reply port as a kernel endpoint: the
 // kernel itself will consume the server's reply, no user buffer involved.
-void EnterKernelEndpointWait(Thread* thread, Port* reply_port) {
+MKC_TRANSFER_PATH void EnterKernelEndpointWait(Thread* thread, Port* reply_port) {
   auto& st = thread->Scratch<MsgWaitState>();
   st.user_buffer = nullptr;
   st.port = reply_port->id;
@@ -31,7 +32,7 @@ void EnterKernelEndpointWait(Thread* thread, Port* reply_port) {
 
 // Resumes (or terminates) the faulting thread according to the deposited
 // reply verdict. Runs as the faulting thread.
-[[noreturn]] void ExceptionReplyFinish(Thread* thread) {
+MKC_TRANSFER_PATH [[noreturn]] void ExceptionReplyFinish(Thread* thread) {
   Kernel& k = ActiveKernel();
   if (thread->exc_start != 0) {
     k.lat().exc_service->Record(k.LatencyNow() - thread->exc_start);
@@ -54,7 +55,7 @@ void EnterKernelEndpointWait(Thread* thread, Port* reply_port) {
 // wakeup) finishes right in the inherited frame — the §2.5 reply fast path,
 // now a table entry reachable from every handoff site, not just the reply
 // handoff.
-bool ExceptionReplyResumeRecognized(Kernel& k, Thread* faulter) {
+MKC_TRANSFER_PATH bool ExceptionReplyResumeRecognized(Kernel& k, Thread* faulter) {
   auto& st = faulter->Scratch<MsgWaitState>();
   if ((st.flags & kMsgWaitDirectComplete) == 0) {
     return false;  // No verdict yet (spurious wakeup): general path.
@@ -68,7 +69,8 @@ bool ExceptionReplyResumeRecognized(Kernel& k, Thread* faulter) {
 }
 
 // Process-model wait for the reply (MK32 / Mach 2.5).
-[[noreturn]] void ExceptionReplyWaitProcessModel(Thread* thread, Port* reply_port) {
+MKC_TRANSFER_PATH [[noreturn]] void ExceptionReplyWaitProcessModel(Thread* thread,
+                                                                   Port* reply_port) {
   Kernel& k = ActiveKernel();
   for (;;) {
     auto& st = thread->Scratch<MsgWaitState>();
@@ -85,7 +87,7 @@ bool ExceptionReplyResumeRecognized(Kernel& k, Thread* faulter) {
 
 }  // namespace
 
-void ExceptionReplyContinue() {
+MKC_TRANSFER_PATH void ExceptionReplyContinue() {
   Thread* thread = CurrentThread();
   auto& st = thread->Scratch<MsgWaitState>();
   if ((st.flags & kMsgWaitDirectComplete) == 0) {
@@ -101,7 +103,7 @@ void ExceptionReplyContinue() {
   ExceptionReplyFinish(thread);
 }
 
-[[noreturn]] void HandleException(Thread* thread, std::uint64_t code) {
+MKC_TRANSFER_PATH [[noreturn]] void HandleException(Thread* thread, std::uint64_t code) {
   Kernel& k = ActiveKernel();
   ++k.exc_stats().raised;
   thread->exc_start = k.LatencyNow();
@@ -190,7 +192,7 @@ void ExceptionReplyContinue() {
   ExceptionReplyWaitProcessModel(thread, reply_port);
 }
 
-void ExceptionHandleReply(Thread* sender, MachMsgArgs* args, Thread* faulter) {
+MKC_TRANSFER_PATH void ExceptionHandleReply(Thread* sender, MachMsgArgs* args, Thread* faulter) {
   Kernel& k = ActiveKernel();
   ++k.exc_stats().replies;
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/core/control.h"
 #include "src/exc/exception.h"
@@ -21,20 +22,21 @@ namespace {
 // pageable kernel copy buffer, which can fault (process-model block, §2.5).
 constexpr std::uint32_t kKernelBufferTouchThreshold = 768;
 
-void AccountCopy(Kernel& k, std::uint32_t bytes) {
+MKC_TRANSFER_PATH void AccountCopy(Kernel& k, std::uint32_t bytes) {
   std::uint64_t words = bytes / 8 + 2;  // Body plus header.
   k.cost_model().Account(CostOp::kMsgCopy, words, words);
   k.ChargeCycles(kCycMsgCopyBase + words * kCycMsgCopyPerWord);
 }
 
-void CopyIn(Kernel& k, KMessage* kmsg, const UserMessage* msg, std::uint32_t size) {
+MKC_TRANSFER_PATH void CopyIn(Kernel& k, KMessage* kmsg, const UserMessage* msg,
+                              std::uint32_t size) {
   kmsg->header = msg->header;
   kmsg->header.size = size;
   std::memcpy(kmsg->body, msg->body, size);
   AccountCopy(k, size);
 }
 
-void CopyOut(Kernel& k, UserMessage* msg, const KMessage* kmsg) {
+MKC_TRANSFER_PATH void CopyOut(Kernel& k, UserMessage* msg, const KMessage* kmsg) {
   msg->header = kmsg->header;
   std::memcpy(msg->body, kmsg->body, kmsg->header.size);
   AccountCopy(k, kmsg->header.size);
@@ -43,7 +45,7 @@ void CopyOut(Kernel& k, UserMessage* msg, const KMessage* kmsg) {
   k.SpanAdopt(CurrentThread(), kmsg->header.span);
 }
 
-void WakeOneBlockedSender(Kernel& k, Port* port) {
+MKC_TRANSFER_PATH void WakeOneBlockedSender(Kernel& k, Port* port) {
   if (Thread* sender = port->blocked_senders.DequeueHead()) {
     sender->wait_result = KernReturn::kSuccess;
     k.ThreadSetrun(sender);
@@ -73,7 +75,7 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
 // Completes the current thread's receive. Shared by the two receive
 // continuations; re-blocks (tail-recursively, with the same continuation) on
 // spurious wakeups. MK40 only.
-[[noreturn]] void FinishReceiveContinuation(bool strict) {
+MKC_TRANSFER_PATH [[noreturn]] void FinishReceiveContinuation(bool strict) {
   Kernel& k = ActiveKernel();
   Thread* t = CurrentThread();
   auto& st = t->Scratch<MsgWaitState>();
@@ -126,7 +128,7 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
 // completes its mach_msg right in the inherited frame, skipping the general
 // continuation entirely. Declines (queued-path or spurious wakeups) fall
 // back to FinishReceiveContinuation via the full continuation.
-bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
+MKC_TRANSFER_PATH bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
   auto& st = receiver->Scratch<MsgWaitState>();
   if ((st.flags & kMsgWaitDirectComplete) == 0) {
     return false;  // Nothing delivered in place: run the general path.
@@ -141,7 +143,7 @@ bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
 
 // Send phase. Returns a status for the caller to act on; DOES NOT return at
 // all when the fast RPC path transfers control away.
-KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
+MKC_TRANSFER_PATH KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
   Kernel& k = ActiveKernel();
   UserMessage* msg = args->msg;
   if (msg == nullptr || args->send_size > kMaxInlineBytes) {
@@ -304,7 +306,7 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
 }
 
 // Receive phase; never returns.
-[[noreturn]] void MsgReceivePhase(Thread* t, MachMsgArgs* args) {
+MKC_TRANSFER_PATH [[noreturn]] void MsgReceivePhase(Thread* t, MachMsgArgs* args) {
   Kernel& k = ActiveKernel();
   k.ChargeCycles(kCycMsgPhaseBase + kCycPortLookup);
   Port* port = k.ipc().Lookup(args->rcv_port);
@@ -345,12 +347,14 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
 
 }  // namespace
 
-Continuation ChooseReceiveContinuation(std::uint32_t options, std::uint32_t rcv_limit) {
+MKC_TRANSFER_PATH Continuation ChooseReceiveContinuation(std::uint32_t options,
+                                                         std::uint32_t rcv_limit) {
   return StrictOptions(options, rcv_limit) ? MachMsgSlowContinue : MachMsgContinue;
 }
 
-void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
-                      std::uint32_t rcv_limit, std::uint32_t options, Ticks timeout) {
+MKC_TRANSFER_PATH void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
+                                        std::uint32_t rcv_limit, std::uint32_t options,
+                                        Ticks timeout) {
   Kernel& k = ActiveKernel();
   Port* port = k.ipc().Lookup(port_id);
   MKC_ASSERT(port != nullptr);
@@ -393,7 +397,7 @@ void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
   }
 }
 
-Thread* PopReceiverForDelivery(Port* port, std::uint32_t size) {
+MKC_TRANSFER_PATH Thread* PopReceiverForDelivery(Port* port, std::uint32_t size) {
   Thread* receiver = PopEligibleReceiver(port, size);
   if (receiver == nullptr && port->owner_set != nullptr) {
     receiver = PopEligibleReceiver(port->owner_set, size);
@@ -401,7 +405,7 @@ Thread* PopReceiverForDelivery(Port* port, std::uint32_t size) {
   return receiver;
 }
 
-KMessage* PeekQueuedFor(Port* rcv_port, Port** from) {
+MKC_TRANSFER_PATH KMessage* PeekQueuedFor(Port* rcv_port, Port** from) {
   if (!rcv_port->is_set) {
     *from = rcv_port;
     return rcv_port->messages.PeekHead();
@@ -420,12 +424,12 @@ KMessage* PeekQueuedFor(Port* rcv_port, Port** from) {
   return nullptr;
 }
 
-bool PortHasQueuedMessages(Port* port) {
+MKC_TRANSFER_PATH bool PortHasQueuedMessages(Port* port) {
   Port* from = nullptr;
   return PeekQueuedFor(port, &from) != nullptr;
 }
 
-Thread* PopEligibleReceiver(Port* port, std::uint32_t size) {
+MKC_TRANSFER_PATH Thread* PopEligibleReceiver(Port* port, std::uint32_t size) {
   Kernel& k = ActiveKernel();
   for (;;) {
     Thread* receiver = port->receivers.DequeueHead();
@@ -445,7 +449,8 @@ Thread* PopEligibleReceiver(Port* port, std::uint32_t size) {
   }
 }
 
-void DeliverDirect(Thread* receiver, const MessageHeader& header, const void* body) {
+MKC_TRANSFER_PATH void DeliverDirect(Thread* receiver, const MessageHeader& header,
+                                     const void* body) {
   Kernel& k = ActiveKernel();
   auto& st = receiver->Scratch<MsgWaitState>();
   MKC_ASSERT(header.size <= st.rcv_limit);
@@ -459,7 +464,7 @@ void DeliverDirect(Thread* receiver, const MessageHeader& header, const void* bo
   k.SpanAdopt(receiver, header.span);
 }
 
-[[noreturn]] void ProcessModelReceiveFinish(Thread* thread) {
+MKC_TRANSFER_PATH [[noreturn]] void ProcessModelReceiveFinish(Thread* thread) {
   Kernel& k = ActiveKernel();
   MKC_ASSERT(!k.UsesContinuations());
   for (;;) {
@@ -505,9 +510,9 @@ void DeliverDirect(Thread* receiver, const MessageHeader& header, const void* bo
   }
 }
 
-void MachMsgContinue() { FinishReceiveContinuation(/*strict=*/false); }
+MKC_TRANSFER_PATH void MachMsgContinue() { FinishReceiveContinuation(/*strict=*/false); }
 
-void MachMsgSlowContinue() {
+MKC_TRANSFER_PATH void MachMsgSlowContinue() {
   ++ActiveKernel().ipc().stats().slow_continuations;
   FinishReceiveContinuation(/*strict=*/true);
 }
@@ -519,7 +524,7 @@ void RegisterIpcRecognition(RecognitionTable& table) {
   table.Register(&MachMsgContinue, &ReceiveResumeRecognized, nullptr);
 }
 
-[[noreturn]] void HandleMachMsg(Thread* thread, MachMsgArgs* args) {
+MKC_TRANSFER_PATH [[noreturn]] void HandleMachMsg(Thread* thread, MachMsgArgs* args) {
   if ((args->options & kMsgSendOpt) != 0) {
     KernReturn kr = MsgSendPhase(thread, args);  // May transfer away.
     if (kr != KernReturn::kSuccess) {

@@ -22,9 +22,10 @@
 #include "src/vm/vm_system.h"
 
 namespace mkc {
-namespace {
 
-Kernel* g_active_kernel = nullptr;
+Kernel* kernel_detail::g_active_kernel = nullptr;
+
+namespace {
 
 // Per-CPU free-stack cache depth (ncpu > 1 only); overflow goes to the
 // global pool governed by KernelConfig::stack_cache_limit.
@@ -55,19 +56,6 @@ const char* ModelName(ControlTransferModel model) {
   }
   return "unknown";
 }
-
-Kernel& ActiveKernel() {
-  MKC_ASSERT_MSG(g_active_kernel != nullptr, "no kernel is running on this host thread");
-  return *g_active_kernel;
-}
-
-Thread* CurrentThread() {
-  Thread* t = ActiveKernel().processor().active_thread;
-  MKC_ASSERT(t != nullptr);
-  return t;
-}
-
-bool KernelIsActive() { return g_active_kernel != nullptr; }
 
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
@@ -492,9 +480,10 @@ void Kernel::BootIfNeeded() {
 }
 
 void Kernel::Run() {
-  MKC_ASSERT_MSG(g_active_kernel == nullptr, "a kernel is already running (no nesting)");
+  MKC_ASSERT_MSG(kernel_detail::g_active_kernel == nullptr,
+                 "a kernel is already running (no nesting)");
   MKC_ASSERT(!running_);
-  g_active_kernel = this;
+  kernel_detail::g_active_kernel = this;
   running_ = true;
 
   BootIfNeeded();
@@ -527,7 +516,7 @@ void Kernel::Run() {
     shutdown_stack_ = nullptr;
   }
   running_ = false;
-  g_active_kernel = nullptr;
+  kernel_detail::g_active_kernel = nullptr;
 }
 
 void Kernel::SwitchToCpu(int target) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/panic.h"
 #include "src/base/queue.h"
 #include "src/base/rng.h"
 #include "src/base/types.h"
@@ -215,6 +216,9 @@ class Kernel {
   // clocks. This is the "wall clock" of the simulated machine — N CPUs
   // working in parallel advance it at 1/N the rate of their summed work.
   Ticks VirtualTime() const {
+    if (config_.ncpu == 1) {
+      return cpus_[0]->clock.Now();
+    }
     Ticks t = 0;
     for (const auto& cpu : cpus_) {
       if (cpu->clock.Now() > t) {
@@ -522,12 +526,28 @@ class Kernel {
   static int WaitBucket(const void* event);
 };
 
+namespace kernel_detail {
+// Set by Kernel::Run for its duration; read only through the accessors below.
+extern Kernel* g_active_kernel;
+}  // namespace kernel_detail
+
 // Ambient access to the machine currently executing on this host thread.
 // Valid only while a Kernel::Run() is in progress (all kernel paths and
-// simulated user code run within one).
-Kernel& ActiveKernel();
-Thread* CurrentThread();
-bool KernelIsActive();
+// simulated user code run within one). Inline: every trap, block and
+// transfer reads them several times.
+inline Kernel& ActiveKernel() {
+  MKC_ASSERT_MSG(kernel_detail::g_active_kernel != nullptr,
+                 "no kernel is running on this host thread");
+  return *kernel_detail::g_active_kernel;
+}
+
+inline Thread* CurrentThread() {
+  Thread* t = ActiveKernel().processor().active_thread;
+  MKC_ASSERT(t != nullptr);
+  return t;
+}
+
+inline bool KernelIsActive() { return kernel_detail::g_active_kernel != nullptr; }
 
 }  // namespace mkc
 

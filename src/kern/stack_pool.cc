@@ -74,12 +74,6 @@ void StackPool::NoteCacheFree() {
   --stats_.in_use;
 }
 
-void StackPool::SampleInUse() {
-  SpinLockGuard guard(lock_);
-  ++stats_.samples;
-  stats_.sample_sum += stats_.in_use;
-}
-
 void StackPool::ResetStats() {
   SpinLockGuard guard(lock_);
   std::uint64_t in_use = stats_.in_use;

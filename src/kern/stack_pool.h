@@ -60,8 +60,13 @@ class StackPool {
   void NoteCacheAllocate();
   void NoteCacheFree();
 
-  // Records one sample of the in-use count for the §3.4 average.
-  void SampleInUse();
+  // Records one sample of the in-use count for the §3.4 average. This is
+  // instrumentation, read on every block, not pool state that Allocate/Free
+  // depend on; the simulation runs on one host thread, so it takes no lock.
+  void SampleInUse() {
+    ++stats_.samples;
+    stats_.sample_sum += stats_.in_use;
+  }
 
   const StackPoolStats& stats() const { return stats_; }
   std::size_t stack_bytes() const { return stack_bytes_; }

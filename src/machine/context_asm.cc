@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 
 // Under AddressSanitizer every stack switch must be announced, or ASan keeps
@@ -29,6 +30,10 @@
 extern "C" {
 void* mkc_context_switch_asm(void** save_sp, void* to_sp, void* pass);
 [[noreturn]] void mkc_context_jump_asm(void* to_sp, void* pass);
+void* mkc_context_switch_fresh_asm(void** save_sp, void* stack_top, mkc::ContextEntry entry,
+                                   void* arg, void* pass);
+[[noreturn]] void mkc_context_jump_fresh_asm(void* stack_top, mkc::ContextEntry entry, void* arg,
+                                             void* pass);
 void mkc_context_trampoline_asm();
 }
 
@@ -74,14 +79,20 @@ void SanitizerEntryShim(void* pass, void* varg) {
 const int kContextSwitchSavedWords = 6;  // rbx, rbp, r12-r15.
 const char* const kContextBackendName = "x86_64-asm";
 
-Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry, void* arg) {
+namespace {
+
+// Highest 16-byte aligned address within the stack.
+std::uintptr_t StackTop(void* stack_base, std::size_t stack_size) {
   MKC_ASSERT(stack_base != nullptr);
   MKC_ASSERT(stack_size >= 512);
+  return (reinterpret_cast<std::uintptr_t>(stack_base) + stack_size) & ~std::uintptr_t{15};
+}
 
+}  // namespace
 
-  // Highest 16-byte aligned address within the stack.
-  auto top = reinterpret_cast<std::uintptr_t>(stack_base) + stack_size;
-  top &= ~std::uintptr_t{15};
+MKC_TRANSFER_PATH Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry,
+                                      void* arg) {
+  std::uintptr_t top = StackTop(stack_base, stack_size);
 
   // Frame, from high to low: two scratch slots, the trampoline as return
   // address, then six callee-saved slots. After the resuming switch pops the
@@ -124,7 +135,7 @@ Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry
   return ctx;
 }
 
-void* ContextSwitch(Context* save, Context to, void* pass) {
+MKC_TRANSFER_PATH void* ContextSwitch(Context* save, Context to, void* pass) {
   MKC_ASSERT(save != nullptr);
   MKC_ASSERT(to.valid());
 #if defined(MKC_ASAN_FIBERS)
@@ -140,7 +151,7 @@ void* ContextSwitch(Context* save, Context to, void* pass) {
 #endif
 }
 
-[[noreturn]] void ContextJump(Context to, void* pass) {
+MKC_TRANSFER_PATH [[noreturn]] void ContextJump(Context to, void* pass) {
   MKC_ASSERT(to.valid());
 #if defined(MKC_ASAN_FIBERS)
   // The current flow is abandoned: null fake-stack handle releases its fake
@@ -149,6 +160,30 @@ void* ContextSwitch(Context* save, Context to, void* pass) {
   __sanitizer_start_switch_fiber(nullptr, to.asan_stack_bottom, to.asan_stack_size);
 #endif
   mkc_context_jump_asm(to.sp, pass);
+}
+
+// Under ASan a fresh entry is a MakeContext frame resumed the ordinary way,
+// so the shim announces the landing exactly as for any other fresh context.
+MKC_TRANSFER_PATH void* ContextSwitchFresh(Context* save, void* stack_base, std::size_t stack_size,
+                                           ContextEntry entry, void* arg, void* pass) {
+#if defined(MKC_ASAN_FIBERS)
+  return ContextSwitch(save, MakeContext(stack_base, stack_size, entry, arg), pass);
+#else
+  MKC_ASSERT(save != nullptr);
+  return mkc_context_switch_fresh_asm(&save->sp,
+                                      reinterpret_cast<void*>(StackTop(stack_base, stack_size)),
+                                      entry, arg, pass);
+#endif
+}
+
+MKC_TRANSFER_PATH [[noreturn]] void ContextJumpFresh(void* stack_base, std::size_t stack_size,
+                                                     ContextEntry entry, void* arg, void* pass) {
+#if defined(MKC_ASAN_FIBERS)
+  ContextJump(MakeContext(stack_base, stack_size, entry, arg), pass);
+#else
+  mkc_context_jump_fresh_asm(reinterpret_cast<void*>(StackTop(stack_base, stack_size)), entry,
+                             arg, pass);
+#endif
 }
 
 }  // namespace mkc

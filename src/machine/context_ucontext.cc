@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 
 namespace mkc {
@@ -34,7 +35,8 @@ ucontext_t* AsUcp(Context ctx) { return static_cast<ucontext_t*>(ctx.sp); }
 const int kContextSwitchSavedWords = static_cast<int>(sizeof(ucontext_t) / sizeof(void*));
 const char* const kContextBackendName = "ucontext";
 
-Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry, void* arg) {
+MKC_TRANSFER_PATH Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry,
+                                      void* arg) {
   MKC_ASSERT(stack_base != nullptr);
   MKC_ASSERT(stack_size >= sizeof(ucontext_t) + 2048);
 
@@ -58,7 +60,7 @@ Context MakeContext(void* stack_base, std::size_t stack_size, ContextEntry entry
   return Context{ucp};
 }
 
-void* ContextSwitch(Context* save, Context to, void* pass) {
+MKC_TRANSFER_PATH void* ContextSwitch(Context* save, Context to, void* pass) {
   MKC_ASSERT(save != nullptr);
   MKC_ASSERT(to.valid());
   ucontext_t self;
@@ -68,11 +70,21 @@ void* ContextSwitch(Context* save, Context to, void* pass) {
   return g_pass;
 }
 
-[[noreturn]] void ContextJump(Context to, void* pass) {
+MKC_TRANSFER_PATH [[noreturn]] void ContextJump(Context to, void* pass) {
   MKC_ASSERT(to.valid());
   g_pass = pass;
   setcontext(AsUcp(to));
   Panic("setcontext returned");
+}
+
+MKC_TRANSFER_PATH void* ContextSwitchFresh(Context* save, void* stack_base, std::size_t stack_size,
+                                           ContextEntry entry, void* arg, void* pass) {
+  return ContextSwitch(save, MakeContext(stack_base, stack_size, entry, arg), pass);
+}
+
+MKC_TRANSFER_PATH [[noreturn]] void ContextJumpFresh(void* stack_base, std::size_t stack_size,
+                                                     ContextEntry entry, void* arg, void* pass) {
+  ContextJump(MakeContext(stack_base, stack_size, entry, arg), pass);
 }
 
 }  // namespace mkc

@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/kern/kernel.h"
 #include "src/kern/processor.h"
@@ -18,7 +19,7 @@ namespace {
 // Changes the loaded address translation when the new thread belongs to a
 // different task. Kernel-internal threads (task == nullptr) run against
 // whatever map is loaded, as in the real kernel.
-void PmapActivate(Kernel& k, Thread* new_thread) {
+MKC_TRANSFER_PATH void PmapActivate(Kernel& k, Thread* new_thread) {
   Task* new_task = new_thread->task;
   if (new_task == nullptr || new_task == k.processor().loaded_task) {
     return;
@@ -32,7 +33,7 @@ void PmapActivate(Kernel& k, Thread* new_thread) {
 
 // Entry shim for freshly attached stacks: recovers the StackStartFn that
 // StackAttach installed.
-void AttachEntry(void* pass, void* arg) {
+MKC_TRANSFER_PATH void AttachEntry(void* pass, void* arg) {
   auto* self = static_cast<Thread*>(arg);
   auto* old_thread = static_cast<Thread*>(pass);
   StackStartFn start = self->md.attach_start;
@@ -43,7 +44,7 @@ void AttachEntry(void* pass, void* arg) {
 }
 
 // Entry shim for CallContinuation's stack reset.
-void ContinuationEntry(void* /*pass*/, void* arg) {
+MKC_TRANSFER_PATH void ContinuationEntry(void* /*pass*/, void* arg) {
   auto* self = static_cast<Thread*>(arg);
   Continuation cont = self->md.pending_continuation;
   self->md.pending_continuation = nullptr;
@@ -58,12 +59,12 @@ void ContinuationEntry(void* /*pass*/, void* arg) {
 // a stack handoff never performs.
 std::uint64_t g_live_kernel_regs[kMaxCpus][kKernelSaveAreaWords];
 
-void SaveKernelRegs(Kernel& k, Thread* thread) {
+MKC_TRANSFER_PATH void SaveKernelRegs(Kernel& k, Thread* thread) {
   std::memcpy(thread->md.kernel_save_area, g_live_kernel_regs[k.processor().id],
               sizeof(g_live_kernel_regs[0]));
 }
 
-void RestoreKernelRegs(Kernel& k, Thread* thread) {
+MKC_TRANSFER_PATH void RestoreKernelRegs(Kernel& k, Thread* thread) {
   std::memcpy(g_live_kernel_regs[k.processor().id], thread->md.kernel_save_area,
               sizeof(g_live_kernel_regs[0]));
 }
@@ -72,7 +73,7 @@ void RestoreKernelRegs(Kernel& k, Thread* thread) {
 // paths stamp Thread::block_start, and the two transfer primitives observe
 // it here when the thread next gets the processor. Idle blocks have no
 // registered histogram (null slot), so they cost one load and branch.
-void RecordResumeLatency(Kernel& k, Thread* new_thread) {
+MKC_TRANSFER_PATH void RecordResumeLatency(Kernel& k, Thread* new_thread) {
   // Scheduler latency: stamped by ThreadSetrunOn (wakeup) or the preempt
   // requeue paths, consumed here when the thread actually gets a processor.
   // The recording shard is the *dispatching* CPU's — the CPU that paid the
@@ -106,7 +107,7 @@ void RecordResumeLatency(Kernel& k, Thread* new_thread) {
 
 }  // namespace
 
-void StackAttach(Thread* thread, KernelStack* stack, StackStartFn start) {
+MKC_TRANSFER_PATH void StackAttach(Thread* thread, KernelStack* stack, StackStartFn start) {
   Kernel& k = ActiveKernel();
   MKC_ASSERT(thread->kernel_stack == nullptr);
   MKC_ASSERT(stack != nullptr);
@@ -122,7 +123,7 @@ void StackAttach(Thread* thread, KernelStack* stack, StackStartFn start) {
   k.TracePointSpan(thread->span_id, TraceEvent::kStackAttachEvt, thread->id);
 }
 
-KernelStack* StackDetach(Thread* thread) {
+MKC_TRANSFER_PATH KernelStack* StackDetach(Thread* thread) {
   Kernel& k = ActiveKernel();
   KernelStack* stack = thread->kernel_stack;
   MKC_ASSERT(stack != nullptr);
@@ -134,7 +135,7 @@ KernelStack* StackDetach(Thread* thread) {
   return stack;
 }
 
-void StackHandoff(Thread* new_thread) {
+MKC_TRANSFER_PATH void StackHandoff(Thread* new_thread) {
   Kernel& k = ActiveKernel();
   Thread* old_thread = CurrentThread();
   Ticks transfer_start = k.clock().Now();
@@ -165,25 +166,26 @@ void StackHandoff(Thread* new_thread) {
   // ("stack_handoff returns as the new thread").
 }
 
-[[noreturn]] void CallContinuation(Continuation cont) {
+MKC_TRANSFER_PATH [[noreturn]] void CallContinuation(Continuation cont) {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(cont != nullptr);
   MKC_ASSERT(thread->kernel_stack != nullptr);
   thread->md.pending_continuation = cont;
-  // Reset to the base of the current stack, discarding all frames above —
-  // this is what keeps arbitrarily long continuation chains from
-  // overflowing the (single) kernel stack.
-  Context fresh = MakeContext(thread->kernel_stack->base(), thread->kernel_stack->size(),
-                              ContinuationEntry, thread);
+  // The modeled cost is the DS3100's: its call_continuation stores an
+  // ~8-word frame at the stack base. The host builds no frame at all.
   k.cost_model().Account(CostOp::kCallContinuation, 0, 8);
   k.ChargeCycles(kCycCallContinuation);
   k.NoteContResume(cont);
   k.TracePoint(TraceEvent::kCallContinuation);
-  ContextJump(fresh, nullptr);
+  // Reset to the base of the current stack, discarding all frames above —
+  // this is what keeps arbitrarily long continuation chains from
+  // overflowing the (single) kernel stack.
+  ContextJumpFresh(thread->kernel_stack->base(), thread->kernel_stack->size(),
+                   ContinuationEntry, thread, nullptr);
 }
 
-Thread* SwitchContext(Continuation cont, Thread* new_thread) {
+MKC_TRANSFER_PATH Thread* SwitchContext(Continuation cont, Thread* new_thread) {
   Kernel& k = ActiveKernel();
   Thread* old_thread = CurrentThread();
   Ticks transfer_start = k.clock().Now();
@@ -230,7 +232,7 @@ Thread* SwitchContext(Continuation cont, Thread* new_thread) {
   return static_cast<Thread*>(pass);
 }
 
-[[noreturn]] void ThreadSyscallReturn(KernReturn value) {
+MKC_TRANSFER_PATH [[noreturn]] void ThreadSyscallReturn(KernReturn value) {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(thread->state == ThreadState::kRunning);
@@ -253,16 +255,15 @@ Thread* SwitchContext(Continuation cont, Thread* new_thread) {
   if (thread->md.user_continuation_override != nullptr) {
     auto target = thread->md.user_continuation_override;
     thread->md.user_ctx.reset();
-    Context fresh =
-        MakeContext(thread->md.user_stack, static_cast<std::size_t>(thread->md.user_stack_size),
-                    [](void* pass, void* arg) {
-                      auto fn = reinterpret_cast<void (*)(std::uint64_t)>(arg);
-                      fn(reinterpret_cast<std::uint64_t>(pass));
-                      Panic("user continuation override returned");
-                    },
-                    reinterpret_cast<void*>(target));
-    ContextJump(fresh, reinterpret_cast<void*>(static_cast<std::uintptr_t>(
-                           static_cast<std::uint32_t>(value))));
+    ContextJumpFresh(thread->md.user_stack, static_cast<std::size_t>(thread->md.user_stack_size),
+                     [](void* pass, void* arg) {
+                       auto fn = reinterpret_cast<void (*)(std::uint64_t)>(arg);
+                       fn(reinterpret_cast<std::uint64_t>(pass));
+                       Panic("user continuation override returned");
+                     },
+                     reinterpret_cast<void*>(target),
+                     reinterpret_cast<void*>(
+                         static_cast<std::uintptr_t>(static_cast<std::uint32_t>(value))));
   }
 
   k.TracePoint(TraceEvent::kSyscallReturn, static_cast<std::uint32_t>(value));
@@ -273,7 +274,7 @@ Thread* SwitchContext(Continuation cont, Thread* new_thread) {
                         static_cast<std::uintptr_t>(static_cast<std::uint32_t>(value))));
 }
 
-[[noreturn]] void ThreadExceptionReturn() {
+MKC_TRANSFER_PATH [[noreturn]] void ThreadExceptionReturn() {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(thread->state == ThreadState::kRunning);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/core/control.h"
 #include "src/exc/exception.h"
@@ -18,9 +19,9 @@ namespace {
 // Quantum expiry: the interrupted thread's kernel context is worthless — it
 // was about to run user code — so block with a continuation that simply
 // returns to user level (§2.5, "Preemptive Scheduling").
-void PreemptContinuation() { ThreadExceptionReturn(); }
+MKC_TRANSFER_PATH void PreemptContinuation() { ThreadExceptionReturn(); }
 
-[[noreturn]] void HandlePreempt(Thread* thread) {
+MKC_TRANSFER_PATH [[noreturn]] void HandlePreempt(Thread* thread) {
   Kernel& k = ActiveKernel();
   if (k.run_queue().Empty()) {
     // Nobody else wants the processor: fresh quantum, straight back out.
@@ -34,7 +35,7 @@ void PreemptContinuation() { ThreadExceptionReturn(); }
 }
 
 // First instruction executed on the kernel stack after a trap.
-void KernelEntry(void* pass, void* arg) {
+MKC_TRANSFER_PATH void KernelEntry(void* pass, void* arg) {
   auto* frame = static_cast<TrapFrame*>(pass);
   auto* thread = static_cast<Thread*>(arg);
   switch (frame->kind) {
@@ -56,7 +57,7 @@ void KernelEntry(void* pass, void* arg) {
 
 // Applies the model's kernel-entry register-save policy (§3.3). The copies
 // are real memory traffic; the accounted loads/stores state the policy.
-void SaveUserState(Kernel& k, Thread* thread, TrapKind kind) {
+MKC_TRANSFER_PATH void SaveUserState(Kernel& k, Thread* thread, TrapKind kind) {
   auto& md = thread->md;
   if (kind == TrapKind::kSyscall) {
     // Basic trap frame in both kernels.
@@ -94,7 +95,7 @@ void RegisterTrapContinuations(ContinuationRegistry& registry) {
   registry.Register(&PreemptContinuation, "preempt_continue");
 }
 
-std::uint64_t TrapEnter(TrapFrame* frame) {
+MKC_TRANSFER_PATH std::uint64_t TrapEnter(TrapFrame* frame) {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(thread->state == ThreadState::kRunning);
@@ -107,11 +108,10 @@ std::uint64_t TrapEnter(TrapFrame* frame) {
 
   // Fresh kernel execution at the base of the thread's kernel stack (the
   // hardware loads SP with the kernel stack top and jumps to the handler).
-  Context kernel_entry = MakeContext(thread->kernel_stack->base(), thread->kernel_stack->size(),
-                                     &KernelEntry, thread);
   // Capturing the user context here IS creating the thread's user-level
   // continuation (§2.1).
-  void* result = ContextSwitch(&thread->md.user_ctx, kernel_entry, frame);
+  void* result = ContextSwitchFresh(&thread->md.user_ctx, thread->kernel_stack->base(),
+                                    thread->kernel_stack->size(), &KernelEntry, thread, frame);
   // A ThreadSyscallReturn / ThreadExceptionReturn jumped back to us.
   return reinterpret_cast<std::uintptr_t>(result);
 }

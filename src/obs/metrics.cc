@@ -1,6 +1,5 @@
 #include "src/obs/metrics.h"
 
-#include <bit>
 #include <cmath>
 
 namespace mkc {
@@ -44,14 +43,6 @@ void WriteU64(std::string* out, std::uint64_t v) {
 }
 
 }  // namespace
-
-int LatencyHistogram::BucketIndex(Ticks value) {
-  if (value == 0) {
-    return 0;
-  }
-  int width = std::bit_width(value);
-  return width < kBuckets ? width : kBuckets - 1;
-}
 
 Ticks LatencyHistogram::BucketUpperBound(int i) {
   if (i <= 0) {

@@ -20,6 +20,7 @@
 #ifndef MACHCONT_SRC_OBS_METRICS_H_
 #define MACHCONT_SRC_OBS_METRICS_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -98,7 +99,10 @@ class LatencyHistogram {
   void Reset() { *this = LatencyHistogram{}; }
 
  private:
-  static int BucketIndex(Ticks value);
+  static int BucketIndex(Ticks value) {
+    int width = std::bit_width(value);  // 0 for the value 0.
+    return width < kBuckets ? width : kBuckets - 1;
+  }
 
   std::uint64_t buckets_[kBuckets] = {};
   std::uint64_t count_ = 0;

@@ -1,5 +1,6 @@
 #include "src/task/syscalls.h"
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/core/control.h"
 #include "src/ext/ext_state.h"
@@ -15,12 +16,13 @@ namespace {
 
 // Voluntary reschedule: like preemption, the yielding thread's kernel
 // context is worthless — its continuation just returns to user space.
-void YieldContinuation() { ThreadSyscallReturn(KernReturn::kSuccess); }
+MKC_TRANSFER_PATH void YieldContinuation() { ThreadSyscallReturn(KernReturn::kSuccess); }
 
 // Handoff scheduling (Black '90, cited in §1.4): donate the processor to a
 // named thread. Under MK40 with a stackless runnable target, this is a
 // literal stack handoff — the cheapest possible directed switch.
-[[noreturn]] void HandleThreadSwitchTo(Kernel& k, Thread* self, ThreadSwitchToArgs* args) {
+MKC_TRANSFER_PATH [[noreturn]] void HandleThreadSwitchTo(Kernel& k, Thread* self,
+                                                         ThreadSwitchToArgs* args) {
   Thread* target = nullptr;
   self->task->threads.ForEach([&](Thread* t) {
     if (t->id == args->target) {
@@ -57,7 +59,7 @@ void RegisterSyscallContinuations(ContinuationRegistry& registry) {
   registry.Register(&YieldContinuation, "thread_yield_continue");
 }
 
-[[noreturn]] void SyscallDispatch(Thread* thread, TrapFrame* frame) {
+MKC_TRANSFER_PATH [[noreturn]] void SyscallDispatch(Thread* thread, TrapFrame* frame) {
   Kernel& k = ActiveKernel();
   switch (frame->number) {
     case Syscall::kNull:

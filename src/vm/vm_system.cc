@@ -1,5 +1,6 @@
 #include "src/vm/vm_system.h"
 
+#include "src/base/attributes.h"
 #include "src/base/panic.h"
 #include "src/core/control.h"
 #include "src/dev/device.h"
@@ -17,7 +18,7 @@ namespace {
 // Completes the page-fault service-time measurement begun in FaultInternal
 // (first, non-retry entry). Called just before the fault path returns to
 // user level, whichever resolution it took.
-void RecordFaultService(Thread* thread) {
+MKC_TRANSFER_PATH void RecordFaultService(Thread* thread) {
   if (thread->fault_start == 0) {
     return;
   }
@@ -35,7 +36,7 @@ VmSystem::VmSystem(Kernel& kernel, std::uint32_t physical_pages, Ticks disk_late
       disk_latency_(disk_latency),
       free_target_(physical_pages / 8 + 2) {}
 
-bool VmSystem::TranslateForAccess(Task* task, VmAddress va, bool write) {
+MKC_TRANSFER_PATH bool VmSystem::TranslateForAccess(Task* task, VmAddress va, bool write) {
   MKC_ASSERT(task != nullptr);
   const Pmap::Translation* tr = task->pmap.Lookup(va);
   if (tr == nullptr || (write && !tr->writable)) {
@@ -48,24 +49,25 @@ bool VmSystem::TranslateForAccess(Task* task, VmAddress va, bool write) {
   return true;
 }
 
-[[noreturn]] void VmSystem::HandleUserFault(Thread* thread, VmAddress addr, bool write) {
+MKC_TRANSFER_PATH [[noreturn]] void VmSystem::HandleUserFault(Thread* thread, VmAddress addr,
+                                                              bool write) {
   FaultInternal(thread, addr, write, /*is_retry=*/false);
 }
 
-void VmSystem::VmFaultRetryContinue() {
+MKC_TRANSFER_PATH void VmSystem::VmFaultRetryContinue() {
   Thread* thread = CurrentThread();
   auto st = thread->Scratch<VmFaultState>();  // Copy: FaultInternal reuses scratch.
   ActiveKernel().vm().FaultInternal(thread, st.addr, st.write != 0, /*is_retry=*/true);
 }
 
-void VmSystem::VmFaultMapContinue() {
+MKC_TRANSFER_PATH void VmSystem::VmFaultMapContinue() {
   // The pagein completed while we were stackless; the mapping step is the
   // same re-walk of the fault path (the page is now resident, so it
   // completes without blocking).
   VmFaultRetryContinue();
 }
 
-bool VmSystem::FaultResumeRecognized(Kernel& kernel, Thread* thread) {
+MKC_TRANSFER_PATH bool VmSystem::FaultResumeRecognized(Kernel& kernel, Thread* thread) {
   VmSystem& vm = kernel.vm();
   auto st = thread->Scratch<VmFaultState>();  // Copy, as the continuations do.
   Task* task = thread->task;
@@ -113,8 +115,8 @@ void VmSystem::RegisterRecognition(RecognitionTable& table) {
   table.Register(&VmSystem::VmFaultMapContinue, &VmSystem::FaultResumeRecognized, nullptr);
 }
 
-[[noreturn]] void VmSystem::FaultInternal(Thread* thread, VmAddress addr, bool write,
-                                          bool is_retry) {
+MKC_TRANSFER_PATH [[noreturn]] void VmSystem::FaultInternal(Thread* thread, VmAddress addr,
+                                                            bool write, bool is_retry) {
   Kernel& k = kernel_;
   k.ChargeCycles(kCycFaultBase);
   if (!is_retry) {

@@ -90,6 +90,85 @@ TEST(ContextTest, RepeatedFreshContextsOnSameStack) {
   EXPECT_EQ(st.hops, 1000);
 }
 
+TEST(ContextTest, SwitchFreshEntryStackIsAbiAligned) {
+  AlignProbe probe;
+  std::vector<std::uint8_t> stack(kStackSize);
+  ContextSwitchFresh(&probe.main_ctx, stack.data(), stack.size(), &AlignmentEntry, &probe,
+                     nullptr);
+  EXPECT_TRUE(probe.ran);
+}
+
+struct FreshState {
+  Context main_ctx;
+  Context entry_ctx;
+  void* got_pass = nullptr;
+  void* got_arg = nullptr;
+  void* resumed_with = nullptr;
+};
+
+void FreshEntry(void* pass, void* arg) {
+  auto* st = static_cast<FreshState*>(arg);
+  st->got_pass = pass;
+  st->got_arg = arg;
+  // Resume the saved flow with a value of our own; it must come back out of
+  // the ContextSwitchFresh call that suspended it.
+  st->resumed_with = ContextSwitch(&st->entry_ctx, st->main_ctx, &st->got_pass);
+  ContextJump(st->main_ctx, &st->got_arg);
+}
+
+TEST(ContextTest, SwitchFreshDeliversPassAndArgAndReturnsResumerValue) {
+  FreshState st;
+  int token = 0;
+  std::vector<std::uint8_t> stack(kStackSize);
+  void* back = ContextSwitchFresh(&st.main_ctx, stack.data(), stack.size(), &FreshEntry, &st,
+                                  &token);
+  EXPECT_EQ(st.got_pass, &token);
+  EXPECT_EQ(st.got_arg, &st);
+  EXPECT_EQ(back, &st.got_pass);
+  // The fresh flow was itself saved; a switch back resumes it.
+  back = ContextSwitch(&st.main_ctx, st.entry_ctx, &token);
+  EXPECT_EQ(st.resumed_with, &token);
+  EXPECT_EQ(back, &st.got_arg);
+}
+
+struct FreshChainState {
+  Context main_ctx;
+  std::uint8_t* stack = nullptr;
+  std::size_t stack_size = 0;
+  int hops = 0;
+  void* first_frame = nullptr;
+  int moved_frames = 0;  // Hops whose entry frame sat elsewhere than the first's.
+};
+
+void FreshChainEntry(void* pass, void* arg) {
+  auto* st = static_cast<FreshChainState*>(arg);
+  void* frame = __builtin_frame_address(0);
+  if (st->hops == 0) {
+    st->first_frame = frame;
+  }
+  st->moved_frames += frame != st->first_frame ? 1 : 0;
+  st->hops += static_cast<int>(reinterpret_cast<std::uintptr_t>(pass));
+  if (st->hops == 1000) {
+    ContextJump(st->main_ctx, nullptr);
+  }
+  // CallContinuation's pattern: restart at the base of the stack we are
+  // running on, abandoning this frame.
+  ContextJumpFresh(st->stack, st->stack_size, &FreshChainEntry, st,
+                   reinterpret_cast<void*>(std::uintptr_t{1}));
+}
+
+TEST(ContextTest, RepeatedJumpFreshOnSameStack) {
+  // 1000 continuation hops on one stack: the stack must not creep.
+  FreshChainState st;
+  std::vector<std::uint8_t> stack(kStackSize);
+  st.stack = stack.data();
+  st.stack_size = stack.size();
+  ContextSwitchFresh(&st.main_ctx, stack.data(), stack.size(), &FreshChainEntry, &st,
+                     reinterpret_cast<void*>(std::uintptr_t{1}));
+  EXPECT_EQ(st.hops, 1000);
+  EXPECT_EQ(st.moved_frames, 0);
+}
+
 TEST(ContextTest, BackendReportsSavedWords) {
   EXPECT_GT(kContextSwitchSavedWords, 0);
   EXPECT_NE(kContextBackendName, nullptr);
