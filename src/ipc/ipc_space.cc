@@ -86,18 +86,6 @@ KernReturn IpcSpace::RemoveFromSet(PortId port_id) {
   return KernReturn::kSuccess;
 }
 
-Port* IpcSpace::Lookup(PortId id) {
-  std::uint32_t slot = PortSlotOf(id);
-  if (slot >= ports_.size()) {  // Also rejects kInvalidPort (slot == ~0u).
-    return nullptr;
-  }
-  if (port_gens_[slot] != PortGenOf(id)) {
-    return nullptr;  // Stale name: the slot has been reused since.
-  }
-  Port* port = ports_[slot].get();
-  return (port != nullptr && port->alive) ? port : nullptr;
-}
-
 void IpcSpace::DestroyPort(PortId id) {
   Port* port = Lookup(id);
   if (port == nullptr) {

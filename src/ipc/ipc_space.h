@@ -50,7 +50,17 @@ class IpcSpace {
   KernReturn RemoveFromSet(PortId port);
 
   // Returns the port for `id`, or nullptr if invalid/stale/dead.
-  Port* Lookup(PortId id);
+  Port* Lookup(PortId id) {
+    const std::uint32_t slot = PortSlotOf(id);
+    if (slot >= ports_.size()) {  // Also rejects kInvalidPort (slot == ~0u).
+      return nullptr;
+    }
+    if (port_gens_[slot] != PortGenOf(id)) {
+      return nullptr;  // Stale name: the slot has been reused since.
+    }
+    Port* port = ports_[slot].get();
+    return (port != nullptr && port->alive) ? port : nullptr;
+  }
 
   // Marks the port dead: flushes queued messages and fails out any waiting
   // receivers with kRcvPortDied. The slot is then reclaimed (the Port

@@ -566,14 +566,6 @@ bool Kernel::OtherCpusParked() const {
   return true;
 }
 
-std::uint64_t Kernel::TotalRunnable() const {
-  std::uint64_t n = 0;
-  for (const auto& cpu : cpus_) {
-    n += cpu->run_queue.count();
-  }
-  return n;
-}
-
 void Kernel::IdleContinuation() { ActiveKernel().IdleLoop(); }
 
 [[noreturn]] void Kernel::IdleLoop() {

@@ -389,7 +389,14 @@ class Kernel {
 
   // True when some thread could run right now (any CPU's queue non-empty).
   // The cluster driver uses this to pick which parked node to resume.
-  bool HasRunnableWork() const { return TotalRunnable() > 0; }
+  bool HasRunnableWork() const {
+    for (const auto& cpu : cpus_) {
+      if (!cpu->run_queue.Empty()) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   // --- Liveness / shutdown ----------------------------------------------
   std::uint64_t live_threads() const { return live_threads_; }
@@ -446,7 +453,6 @@ class Kernel {
   // True when every CPU other than the invoking one is parked in its idle
   // yield point (their suspended contexts hold no in-progress work).
   bool OtherCpusParked() const;
-  std::uint64_t TotalRunnable() const;
   // Ends the simulation from the idle loop: parks every idle thread, frees
   // their stacks, and jumps back to the host context saved by Run().
   [[noreturn]] void ShutdownFromIdle();

@@ -48,21 +48,28 @@ void Network::Transmit(NetIpc& src, NetIpc& dst, const std::byte* bytes,
   // Arrival is computed against the sender's whole-machine frontier: the
   // packet cannot arrive before it finished being sent.
   const Ticks when = sk.VirtualTime() + config_.latency + config_.per_byte * len + extra;
-  Deliver(dst, std::vector<std::byte>(bytes, bytes + len), when, link);
+  Deliver(dst, bytes, len, when, link);
   if (config_.dup_per_mille > 0 && rng_.Chance(config_.dup_per_mille) &&
       in_flight_[static_cast<std::size_t>(link)] < config_.queue_limit) {
     ++st.dups;
-    Deliver(dst, std::vector<std::byte>(bytes, bytes + len), when + 1, link);
+    Deliver(dst, bytes, len, when + 1, link);
   }
 }
 
-void Network::Deliver(NetIpc& dst, std::vector<std::byte> packet, Ticks when,
-                      int link) {
+void Network::Deliver(NetIpc& dst, const std::byte* bytes, std::uint32_t len,
+                      Ticks when, int link) {
   ++in_flight_[static_cast<std::size_t>(link)];
+  std::vector<std::byte> data;
+  if (!free_bufs_.empty()) {
+    data = std::move(free_bufs_.back());
+    free_bufs_.pop_back();
+  }
+  data.assign(bytes, bytes + len);
   dst.kernel().events().Post(
-      when, [this, &dst, link, data = std::move(packet)]() {
+      when, [this, &dst, link, data = std::move(data)]() mutable {
         --in_flight_[static_cast<std::size_t>(link)];
         dst.DeliverWire(data.data(), static_cast<std::uint32_t>(data.size()));
+        free_bufs_.push_back(std::move(data));
       });
 }
 

@@ -57,12 +57,19 @@ class Network {
            static_cast<std::size_t>(dst);
   }
 
-  void Deliver(NetIpc& dst, std::vector<std::byte> packet, Ticks when, int link);
+  // Posts delivery of `bytes` to `dst` at `when` in a wire buffer taken
+  // from free_bufs_; the delivery event hands the buffer back.
+  void Deliver(NetIpc& dst, const std::byte* bytes, std::uint32_t len,
+               Ticks when, int link);
 
   LinkConfig config_;
   int nnodes_;
   Rng rng_;  // Network randomness is its own stream, independent of any node.
   std::vector<std::size_t> in_flight_;  // Per ordered pair, indexed src*n+dst.
+  // Delivered packets' buffers, reused by later packets so the steady state
+  // allocates none. Never holds more than the peak of packets in flight
+  // (at most queue_limit per link).
+  std::vector<std::vector<std::byte>> free_bufs_;
 };
 
 }  // namespace mkc

@@ -105,11 +105,17 @@ NetIpc::~NetIpc() {
   kernel_.recognition().Unregister(&NetIpcAckContinue);
   kernel_.ipc().SetPortDeathHook(nullptr, nullptr);
   kernel_.SetNetIpc(nullptr);
-  for (auto& [node, ch] : channels_) {
+  for (Channel& ch : channels_) {
     for (auto& entry : ch.unacked) {
       kernel_.ipc().FreeKmsg(entry.kmsg);
     }
   }
+}
+
+void NetIpc::AttachPeers(std::vector<NetIpc*> peers) {
+  peers_ = std::move(peers);
+  channels_.resize(peers_.size());
+  stage_.resize(peers_.size());
 }
 
 PortId NetIpc::BindProxy(int node, PortId port) {
@@ -332,7 +338,7 @@ void NetIpc::SendSequenced(int dst_node, WireHeader& wire, const void* body,
                            std::uint32_t body_bytes, PortId local_reply,
                            KMessage* wk) {
   Kernel& k = kernel_;
-  Channel& ch = channels_[dst_node];
+  Channel& ch = channel(dst_node);
   wire.seq = ch.tx_next++;
   StampAck(wire, dst_node, /*count_piggyback=*/true);
   // The serialized packet lives in a zone kmsg until acked, so retransmits
@@ -366,7 +372,7 @@ std::uint64_t NetIpc::BuildSack(const Channel& ch) const {
 }
 
 void NetIpc::StampAck(WireHeader& wire, int dst_node, bool count_piggyback) {
-  Channel& ch = channels_[dst_node];
+  Channel& ch = channel(dst_node);
   wire.ack = ch.rx_expected - 1;
   wire.sack = BuildSack(ch);
   if (ch.ack_pending) {
@@ -382,7 +388,7 @@ void NetIpc::StampAck(WireHeader& wire, int dst_node, bool count_piggyback) {
 void NetIpc::RestampAck(KMessage* wk, int dst_node) {
   // A retransmitted packet should carry current ack state, not the state at
   // first transmit: patch the serialized extension fields in place.
-  Channel& ch = channels_[dst_node];
+  Channel& ch = channel(dst_node);
   const std::uint64_t sack = BuildSack(ch);
   const std::uint32_t ack = ch.rx_expected - 1;
   std::memcpy(wk->body + offsetof(WireHeader, sack), &sack, sizeof(sack));
@@ -498,14 +504,13 @@ void NetIpc::EngineServiceAndPark(bool from_handler) {
     }
     FlushAcks();
     next = 0;
-    for (auto& [node, ch] : channels_) {
-      for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
-        const Unacked& entry = ch.unacked[i];
-        if (entry.sacked && i != 0) {
+    for (const Channel& ch : channels_) {
+      for (auto it = ch.unacked.begin(); it != ch.unacked.end(); ++it) {
+        if (it->sacked && it != ch.unacked.begin()) {
           continue;  // Parked at the receiver; no deadline to honor.
         }
-        if (next == 0 || entry.deadline < next) {
-          next = entry.deadline;
+        if (next == 0 || it->deadline < next) {
+          next = it->deadline;
         }
       }
       if (ch.ack_pending && (next == 0 || ch.ack_deadline < next)) {
@@ -602,8 +607,15 @@ void NetIpc::HandleWirePacket(const std::byte* bytes, std::uint32_t len) {
   if (!WireDeserialize(bytes, len, &wire, &body, &body_bytes)) {
     return;
   }
+  // The header's node ids index the peer and channel tables: a corrupted
+  // one is dropped like an unparsable packet, before it touches any state.
+  if (wire.src_node >= peers_.size() ||
+      wire.src_node == static_cast<std::uint32_t>(node_id_) ||
+      wire.reply_node >= peers_.size()) {
+    return;
+  }
   const int src = static_cast<int>(wire.src_node);
-  Channel& ch = channels_[src];
+  Channel& ch = channel(src);
 
   switch (static_cast<WireKind>(wire.kind)) {
     case WireKind::kFrameBatch: {
@@ -760,16 +772,16 @@ void NetIpc::DrainOoo(int src, Channel& ch) {
 void NetIpc::ProcessAckInfo(int node, Channel& ch, std::uint32_t ack,
                             std::uint64_t sack) {
   const Ticks now = kernel_.clock().Now();
-  while (!ch.unacked.empty() && ch.unacked.front().seq <= ack) {
-    Unacked entry = ch.unacked.front();
-    ch.unacked.pop_front();
-    if (entry.attempts == 1) {
+  auto acked = ch.unacked.begin();
+  for (; acked != ch.unacked.end() && acked->seq <= ack; ++acked) {
+    if (acked->attempts == 1) {
       // Karn's rule: only never-retransmitted entries give unambiguous
       // round-trip samples.
-      ObserveRtt(ch, now - entry.sent_at);
+      ObserveRtt(ch, now - acked->sent_at);
     }
-    kernel_.ipc().FreeKmsg(entry.kmsg);
+    kernel_.ipc().FreeKmsg(acked->kmsg);
   }
+  ch.unacked.erase(ch.unacked.begin(), acked);
   if (ch.unacked.empty()) {
     return;
   }
@@ -837,7 +849,7 @@ void NetIpc::ObserveRtt(Channel& ch, Ticks sample) {
 }
 
 void NetIpc::ScheduleAck(int src, Ticks delay) {
-  Channel& ch = channels_[src];
+  Channel& ch = channel(src);
   const Ticks deadline = kernel_.clock().Now() + delay;
   if (!ch.ack_pending || deadline < ch.ack_deadline) {
     ch.ack_deadline = deadline;
@@ -847,10 +859,11 @@ void NetIpc::ScheduleAck(int src, Ticks delay) {
 
 void NetIpc::FlushAcks() {
   const Ticks now = kernel_.clock().Now();
-  for (auto& [node, ch] : channels_) {
+  for (std::size_t node = 0; node < channels_.size(); ++node) {
+    const Channel& ch = channels_[node];
     if (ch.ack_pending && ch.ack_deadline <= now) {
       // SendControl stamps the current ack/SACK and clears ack_pending.
-      SendControl(node, WireKind::kAck, ch.rx_expected - 1);
+      SendControl(static_cast<int>(node), WireKind::kAck, ch.rx_expected - 1);
     }
   }
 }
@@ -975,7 +988,7 @@ void NetIpc::SendControl(int dst_node, WireKind kind, std::uint32_t seq) {
   wire.seq = seq;
   // Every control carries full ack state for its channel, which also
   // settles any pending delayed ack.
-  Channel& ch = channels_[dst_node];
+  Channel& ch = channel(dst_node);
   wire.ack = ch.rx_expected - 1;
   wire.sack = BuildSack(ch);
   ch.ack_pending = false;
@@ -991,14 +1004,14 @@ void NetIpc::SendControl(int dst_node, WireKind kind, std::uint32_t seq) {
 }
 
 void NetIpc::PopAcked(Channel& ch, std::uint32_t seq) {
-  while (!ch.unacked.empty() && ch.unacked.front().seq <= seq) {
-    Unacked entry = ch.unacked.front();
-    ch.unacked.pop_front();
-    if (entry.seq == seq) {
-      FailEntry(entry);  // The remote destination died: dead-name the sender.
+  auto acked = ch.unacked.begin();
+  for (; acked != ch.unacked.end() && acked->seq <= seq; ++acked) {
+    if (acked->seq == seq) {
+      FailEntry(*acked);  // The remote destination died: dead-name the sender.
     }
-    kernel_.ipc().FreeKmsg(entry.kmsg);
+    kernel_.ipc().FreeKmsg(acked->kmsg);
   }
+  ch.unacked.erase(ch.unacked.begin(), acked);
 }
 
 void NetIpc::FailEntry(const Unacked& entry) {
@@ -1032,11 +1045,13 @@ void NetIpc::RetransmitScan() {
   // past its deadline means the receiver has it buffered but could not
   // deliver it (backpressure mid-drain), and only a retransmit retries that
   // delivery — so the head's deadline stays live for liveness.
-  for (auto& [node, ch] : channels_) {
+  for (std::size_t n = 0; n < channels_.size(); ++n) {
+    const int node = static_cast<int>(n);
+    Channel& ch = channels_[n];
     bool gave_up = false;
-    for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
-      Unacked& entry = ch.unacked[i];
-      if ((entry.sacked && i != 0) || entry.deadline > now) {
+    for (auto it = ch.unacked.begin(); it != ch.unacked.end(); ++it) {
+      Unacked& entry = *it;
+      if ((entry.sacked && it != ch.unacked.begin()) || entry.deadline > now) {
         continue;
       }
       if (entry.attempts >= kNetMaxSendAttempts) {
@@ -1210,8 +1225,8 @@ void NetIpc::FlushBatch() {
   if (--batch_depth_ > 0) {
     return;  // Nested scope: the outermost close flushes.
   }
-  for (auto& [node, stage] : stage_) {
-    FlushStage(node, stage);
+  for (std::size_t node = 0; node < stage_.size(); ++node) {
+    FlushStage(static_cast<int>(node), stage_[node]);
   }
 }
 
@@ -1253,7 +1268,7 @@ void NetIpc::TransmitPacket(int dst_node, const std::byte* bytes,
                   len);
     return;
   }
-  Stage& stage = stage_[dst_node];
+  Stage& stage = stage_[static_cast<std::size_t>(dst_node)];
   if (kWireHeaderBytes + stage.bytes.size() + sizeof(std::uint32_t) + len >
       kMaxInlineBytes) {
     FlushStage(dst_node, stage);  // Frame full: ship it, start the next.

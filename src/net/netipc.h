@@ -60,7 +60,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -141,16 +140,19 @@ class NetIpc {
   NetIpc(const NetIpc&) = delete;
   NetIpc& operator=(const NetIpc&) = delete;
 
-  // Gives this node the full cluster membership (indexed by node id).
-  // Must be called on every node before any cross-node traffic.
-  void AttachPeers(std::vector<NetIpc*> peers) { peers_ = std::move(peers); }
+  // Gives this node the full cluster membership (indexed by node id) and
+  // sizes the per-peer channel and staging tables to match. Must be called
+  // on every node before any cross-node traffic.
+  void AttachPeers(std::vector<NetIpc*> peers);
 
   // Returns a local proxy port whose messages are forwarded to `port` on
   // `node`, binding one if none exists. Pure data — callable before Run().
   PortId BindProxy(int node, PortId port);
 
   // Network-facing entry: a wire packet arrived at this node (called from a
-  // virtual-time event; must not block).
+  // virtual-time event; must not block). A packet that fails to parse, or
+  // names a node outside the cluster (or this node as its source), is
+  // dropped before it touches any protocol state.
   void DeliverWire(const std::byte* bytes, std::uint32_t len);
 
   // The fault path's gate for NORMA-imported objects (vm/vm_system.cc).
@@ -202,7 +204,7 @@ class NetIpc {
   struct Channel {
     std::uint32_t tx_next = 1;      // Next sequenced seq to assign.
     std::uint32_t rx_expected = 1;  // Next in-order seq to accept.
-    std::deque<Unacked> unacked;    // In seq order.
+    std::vector<Unacked> unacked;   // In seq order; acks erase a prefix.
     // Receive-side reorder buffer (raw packets keyed by seq, at most
     // kNetRxWindow−1 entries) and the delayed-ack obligation.
     std::map<std::uint32_t, std::vector<std::byte>> rx_ooo;
@@ -305,6 +307,7 @@ class NetIpc {
   void BeginBatch();
   void FlushBatch();
   void FlushStage(int dst_node, Stage& stage);
+  Channel& channel(int node) { return channels_[static_cast<std::size_t>(node)]; }
   // Every wire emission funnels through here: passthrough for large packets
   // or outside a batch scope; otherwise staged for coalescing.
   void TransmitPacket(int dst_node, const std::byte* bytes, std::uint32_t len);
@@ -330,7 +333,7 @@ class NetIpc {
   std::map<PortId, RemoteRef> proxy_out_;
   std::map<std::pair<int, PortId>, PortId> remote_to_proxy_;
   std::map<PortId, std::set<int>> exported_;
-  std::map<int, Channel> channels_;
+  std::vector<Channel> channels_;  // Indexed by peer node id.
 
   // Lazy-OOL state. Exports are keyed by the cookie we minted; imports
   // by (source node, cookie) — deterministic keys, never raw pointers, so
@@ -342,7 +345,7 @@ class NetIpc {
   // Coalescing scope. Depth-counted so nested bursts (an outbound drain
   // kicking the engine) flush once, at the outermost close.
   int batch_depth_ = 0;
-  std::map<int, Stage> stage_;
+  std::vector<Stage> stage_;  // Indexed by peer node id.
 
   NetStats stats_;
 };

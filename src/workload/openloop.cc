@@ -120,8 +120,14 @@ ServiceKind ArrivalProcess::PickKind() {
 
 std::vector<ArrivalProcess::Arrival> ArrivalProcess::NextBatch() {
   std::vector<Arrival> batch;
+  NextBatch(batch);
+  return batch;
+}
+
+void ArrivalProcess::NextBatch(std::vector<Arrival>& batch) {
+  batch.clear();
   if (produced_ >= params_.total_arrivals) {
-    return batch;
+    return;
   }
   std::uint64_t n = params_.bursty ? ParetoBatch() : 1;
   n = std::min(n, params_.total_arrivals - produced_);
@@ -138,7 +144,6 @@ std::vector<ArrivalProcess::Arrival> ArrivalProcess::NextBatch() {
     batch.push_back(a);
     ++produced_;
   }
-  return batch;
 }
 
 // --- OpenLoopEngine --------------------------------------------------------
@@ -250,7 +255,7 @@ void OpenLoopEngine::BuildFrontend(Kernel& front) {
     injectors_.push_back(std::move(inj));
   }
 
-  next_batch_ = arrivals_->NextBatch();
+  arrivals_->NextBatch(next_batch_);
   if (next_batch_.empty()) {
     gen_done_ = true;
   } else {
@@ -270,7 +275,7 @@ void OpenLoopEngine::GeneratorFire() {
     ++pushed;
   }
   backlog_depth_ = backlog_.size();
-  next_batch_ = arrivals_->NextBatch();
+  arrivals_->NextBatch(next_batch_);
   if (next_batch_.empty()) {
     gen_done_ = true;
     KickParked(injectors_.size());  // Wake everyone for drain-and-exit.

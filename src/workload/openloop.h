@@ -104,6 +104,9 @@ class ArrivalProcess {
   // The next batch of arrivals (size 1 under Poisson). Returns an empty
   // batch once `total_arrivals` have been produced.
   std::vector<Arrival> NextBatch();
+  // The same, written over `batch` so a caller that keeps one buffer
+  // allocates nothing per batch.
+  void NextBatch(std::vector<Arrival>& batch);
 
   std::uint64_t produced() const { return produced_; }
 

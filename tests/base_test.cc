@@ -2,6 +2,9 @@
 // kern_return names, cost model, cycle conversions.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "src/base/kern_return.h"
@@ -114,6 +117,118 @@ TEST(EventQueueTest, EventsMayPostEvents) {
   events.RunNext(clock);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(clock.Now(), 20u);
+}
+
+TEST(EventQueueTest, AcceptsMoveOnlyCaptures) {
+  VirtualClock clock;
+  EventQueue events;
+  int seen = 0;
+  auto value = std::make_unique<int>(7);
+  events.Post(5, [value = std::move(value), &seen] { seen = *value; });
+  events.RunNext(clock);
+  EXPECT_EQ(seen, 7);
+}
+
+// Counts destructions of live (not moved-from) instances.
+struct DestroyCounter {
+  explicit DestroyCounter(int* count) : count(count) {}
+  DestroyCounter(DestroyCounter&& other) noexcept : count(other.count), live(other.live) {
+    other.live = false;
+  }
+  ~DestroyCounter() {
+    if (live) {
+      ++*count;
+    }
+  }
+  int* count;
+  bool live = true;
+};
+
+TEST(EventQueueTest, DestroysEachCaptureExactlyOnce) {
+  VirtualClock clock;
+  int destroyed = 0;
+  int ran = 0;
+  {
+    EventQueue events;
+    // Enough events that the slab reallocates (and relocates pending
+    // actions) several times.
+    for (int i = 0; i < 100; ++i) {
+      events.Post(static_cast<Ticks>(i), [c = DestroyCounter(&destroyed), &ran] { ++ran; });
+    }
+    EXPECT_EQ(destroyed, 0);
+    for (int i = 0; i < 40; ++i) {
+      events.RunNext(clock);
+    }
+    EXPECT_EQ(ran, 40);
+    EXPECT_EQ(destroyed, 40);  // A run action dies as soon as it returns.
+  }
+  EXPECT_EQ(ran, 40);
+  EXPECT_EQ(destroyed, 100);  // The 60 still pending die with the queue.
+}
+
+TEST(EventQueueTest, ActionsPostingIntoTheirQueueKeepOrderAndReuseSlots) {
+  VirtualClock clock;
+  EventQueue events;
+  std::vector<char> order;
+  events.Post(30, [&] { order.push_back('x'); });
+  events.Post(10, [&] {
+    order.push_back('a');
+    // Posted while running: ordered by deadline, then by post order, with
+    // the already-pending 'x' — and the first reuses 'a's freed slot.
+    events.Post(20, [&] { order.push_back('b'); });
+    events.Post(20, [&] { order.push_back('c'); });
+    events.Post(15, [&] { order.push_back('d'); });
+    events.Post(30, [&] { order.push_back('y'); });
+  });
+  while (!events.Empty()) {
+    events.RunNext(clock);
+  }
+  EXPECT_EQ(order, (std::vector<char>{'a', 'd', 'b', 'c', 'x', 'y'}));
+  EXPECT_EQ(events.SlabSlots(), 5u);  // Six events, at most five pending.
+
+  // A self-rearming timer never holds more than its own slot.
+  EventQueue timer;
+  int fires = 0;
+  struct Rearm {
+    EventQueue* q;
+    int* fires;
+    void operator()() const {
+      if (++*fires < 100) {
+        q->Post(static_cast<Ticks>(*fires) * 10, Rearm{q, fires});
+      }
+    }
+  };
+  timer.Post(0, Rearm{&timer, &fires});
+  while (!timer.Empty()) {
+    timer.RunNext(clock);
+  }
+  EXPECT_EQ(fires, 100);
+  EXPECT_EQ(timer.SlabSlots(), 1u);
+}
+
+TEST(EventQueueTest, FullCaptureBudgetFits) {
+  VirtualClock clock;
+  EventQueue events;
+  // The packet-delivery event's shape: two pointers, a link index and the
+  // wire buffer it owns.
+  int sink = 0;
+  std::vector<std::byte> data(16, std::byte{3});
+  auto deliver = [q = &events, s = &sink, link = 1, data = std::move(data)]() mutable {
+    *s = link + static_cast<int>(data.size()) + static_cast<int>(q->Size());
+  };
+  static_assert(sizeof(deliver) == EventQueue::kActionBytes);
+  events.Post(1, std::move(deliver));
+  static int wide_sum = 0;
+  std::array<std::uint64_t, EventQueue::kActionBytes / sizeof(std::uint64_t)> words{};
+  words.back() = 5;
+  auto wide = [words] { wide_sum = static_cast<int>(words.back()); };
+  static_assert(sizeof(wide) == EventQueue::kActionBytes);
+  events.Post(2, wide);
+  while (!events.Empty()) {
+    events.RunNext(clock);
+  }
+  EXPECT_EQ(sink, 1 + 16 + 1);  // Link, buffer bytes, one event still pending.
+  EXPECT_EQ(wide_sum, 5);
 }
 
 TEST(KernReturnTest, NamesAreDistinctAndStable) {
