@@ -15,7 +15,9 @@
 // (ZoneStats.alloc_cycles summed over both size classes, divided by
 // queued_sends), plus the magazine hit rate and end-to-end virtual time.
 // Both legs run the same (config, seed, scale), so the per-point reduction
-// is bit-deterministic; tools/check_perf_regression.py gates on it.
+// is bit-deterministic; the `perf_gate` ctest checks it against the gates in
+// bench/baselines/ipc_alloc.json (tools/check_perf_regression.py
+// --baseline-dir bench/baselines BENCH.json).
 #include <cstdio>
 #include <string>
 

@@ -16,8 +16,10 @@
 //     deadline: goodput stays near the knee rate and p99.9 stays bounded.
 //
 // The sweep, both curves, and the derived knee metrics go into the unified
-// bench JSON for tools/check_perf_regression.py --openloop, which holds the
-// shed arm to >= 90% of knee goodput and the ablation to its collapse.
+// bench JSON. The gates in bench/baselines/openloop.json, run by the
+// `perf_gate` ctest (tools/check_perf_regression.py --baseline-dir
+// bench/baselines BENCH.json), hold the shed arm to >= 90% of knee goodput
+// and the ablation to its collapse.
 #include <cstdio>
 #include <string>
 

@@ -4,12 +4,13 @@
 // once with every recorder off, once with the windowed SLO tracker armed —
 // and compares virtual time. The tracker charges zero cycles by design
 // (span bookkeeping happens outside the cycle model), so the two runs must
-// land on the *same* virtual tick; the CI gate holds the delta under 1%
+// land on the *same* virtual tick; the perf gate holds the delta under 1%
 // so any future accounting change that starts billing observation to the
 // simulation is caught immediately.
 //
-// With MACHCONT_BENCH_JSON set, writes the unified bench JSON for
-// tools/check_perf_regression.py --slo.
+// With MACHCONT_BENCH_JSON set, writes the unified bench JSON, which the
+// `perf_gate` ctest checks against bench/baselines/slo.json
+// (tools/check_perf_regression.py --baseline-dir bench/baselines BENCH.json).
 #include <cstdio>
 
 #include "bench/bench_util.h"

@@ -7,8 +7,8 @@
 // recognized, rate) for every continuation that saw traffic, plus a 2-node
 // lossy netipc run exercising the wakeup-absorption handlers
 // (netipc_recv_continue / netipc_ack_continue). The per-site rates feed the
-// CI gate (tools/check_perf_regression.py --recognition against
-// bench/baselines/recognition.json).
+// `perf_gate` ctest (tools/check_perf_regression.py --baseline-dir
+// bench/baselines BENCH.json against bench/baselines/table2_recognition.json).
 #include <cstdio>
 #include <string>
 #include <vector>

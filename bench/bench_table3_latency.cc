@@ -2,13 +2,11 @@
 // null cross-address-space RPC and of user-level exception handling, on all
 // three kernel models.
 //
-// Reports two signals per model:
-//   * simulated microseconds from the DS3100-calibrated cycle model
-//     (machine/cycle_model.h) — the apples-to-apples comparison with the
-//     paper's Table 3, since it prices register traffic, queueing and
-//     scheduling at 1991 relative costs; and
-//   * host wall nanoseconds, for reference (modern hardware flattens the
-//     register-save costs, compressing the ratios).
+// Reports simulated microseconds per model from the DS3100-calibrated cycle
+// model (machine/cycle_model.h): the apples-to-apples comparison with the
+// paper's Table 3, since it prices register traffic, queueing and scheduling
+// at 1991 relative costs. Pinned, calibrated host ns for the same operations
+// come from perfbench's `transfer` workload (EXPERIMENTS.md).
 // The reproduced claim is the SHAPE: MK40 beats MK32 by a modest margin on
 // RPC (paper: 14%) and beats both by 2-3x on exceptions.
 #include <cstdio>
@@ -25,11 +23,6 @@
 
 namespace mkc {
 namespace {
-
-struct Measurement {
-  double sim_us = 0.0;  // Simulated microseconds per operation (cycle model).
-  double host_ns = 0.0;
-};
 
 struct RpcBenchState {
   PortId service_port = kInvalidPort;
@@ -60,8 +53,9 @@ void NullRpcClient(void* arg) {
   }
 }
 
-// Measures one null-RPC round trip (client in one task, server in another).
-Measurement MeasureRpc(ControlTransferModel model, int iterations) {
+// Simulated microseconds per null-RPC round trip (client in one task, server
+// in another).
+double MeasureRpc(ControlTransferModel model, int iterations) {
   KernelConfig config;
   config.model = model;
   Kernel kernel(config);
@@ -75,13 +69,9 @@ Measurement MeasureRpc(ControlTransferModel model, int iterations) {
   daemon.daemon = true;
   kernel.CreateUserThread(server, &NullRpcServer, &st, daemon);
   kernel.CreateUserThread(client, &NullRpcClient, &st);
-  WallTimer timer;
   Ticks t0 = kernel.clock().Now();
   kernel.Run();
-  Measurement m;
-  m.host_ns = timer.Seconds() * 1e9 / iterations;
-  m.sim_us = CyclesToMicros(kernel.clock().Now() - t0) / iterations;
-  return m;
+  return CyclesToMicros(kernel.clock().Now() - t0) / iterations;
 }
 
 struct ExcBenchState {
@@ -118,9 +108,9 @@ void ExcBenchFaulter(void* arg) {
   }
 }
 
-// Measures one exception round trip (server in the faulting thread's own
-// address space, as in the paper's test).
-Measurement MeasureException(ControlTransferModel model, int iterations) {
+// Simulated microseconds per exception round trip (server in the faulting
+// thread's own address space, as in the paper's test).
+double MeasureException(ControlTransferModel model, int iterations) {
   KernelConfig config;
   config.model = model;
   Kernel kernel(config);
@@ -132,13 +122,9 @@ Measurement MeasureException(ControlTransferModel model, int iterations) {
   daemon.daemon = true;
   kernel.CreateUserThread(task, &ExcBenchServer, &st, daemon);
   kernel.CreateUserThread(task, &ExcBenchFaulter, &st);
-  WallTimer timer;
   Ticks t0 = kernel.clock().Now();
   kernel.Run();
-  Measurement m;
-  m.host_ns = timer.Seconds() * 1e9 / iterations;
-  m.sim_us = CyclesToMicros(kernel.clock().Now() - t0) / iterations;
-  return m;
+  return CyclesToMicros(kernel.clock().Now() - t0) / iterations;
 }
 
 int Main(int argc, char** argv) {
@@ -150,13 +136,10 @@ int Main(int argc, char** argv) {
       ControlTransferModel::kMach25,
   };
 
-  Measurement rpc[3];
-  Measurement exc[3];
+  double rpc[3];
+  double exc[3];
   for (int i = 0; i < 3; ++i) {
-    // Warm, then measure.
-    MeasureRpc(kModels[i], iterations / 10);
     rpc[i] = MeasureRpc(kModels[i], iterations);
-    MeasureException(kModels[i], iterations / 10);
     exc[i] = MeasureException(kModels[i], iterations);
   }
 
@@ -166,32 +149,23 @@ int Main(int argc, char** argv) {
   std::printf("%-12s %9s %9s %9s   | paper(us) %5s %5s %5s\n", "", "MK40", "MK32",
               "Mach2.5", "MK40", "MK32", "M2.5");
   std::printf("%-12s %8.1f %9.1f %9.1f   | %14.0f %5.0f %5.0f\n", "null RPC",
-              rpc[0].sim_us, rpc[1].sim_us, rpc[2].sim_us, 95.0, 110.0, 185.0);
+              rpc[0], rpc[1], rpc[2], 95.0, 110.0, 185.0);
   std::printf("%-12s %8.1f %9.1f %9.1f   | %14.0f %5.0f %5.0f\n", "exception",
-              exc[0].sim_us, exc[1].sim_us, exc[2].sim_us, 135.0, 425.0, 380.0);
+              exc[0], exc[1], exc[2], 135.0, 425.0, 380.0);
 
   std::printf("\nShape checks, simulated time (paper in brackets):\n");
   std::printf("  RPC: MK32/MK40 = %.2fx [1.16x], Mach2.5/MK40 = %.2fx [1.95x]\n",
-              rpc[1].sim_us / rpc[0].sim_us, rpc[2].sim_us / rpc[0].sim_us);
+              rpc[1] / rpc[0], rpc[2] / rpc[0]);
   std::printf("  exception: MK32/MK40 = %.2fx [3.15x], Mach2.5/MK40 = %.2fx [2.81x]\n",
-              exc[1].sim_us / exc[0].sim_us, exc[2].sim_us / exc[0].sim_us);
-
-  std::printf("\nHost wall clock, for reference (modern hardware compresses the\n"
-              "register-save costs that dominated the DS3100):\n");
-  std::printf("  null RPC : %6.0f / %6.0f / %6.0f ns\n", rpc[0].host_ns, rpc[1].host_ns,
-              rpc[2].host_ns);
-  std::printf("  exception: %6.0f / %6.0f / %6.0f ns\n", exc[0].host_ns, exc[1].host_ns,
-              exc[2].host_ns);
+              exc[1] / exc[0], exc[2] / exc[0]);
 
   BenchJsonBuilder json("table3_latency");
   json.Config("iterations", iterations);
   const char* model_names[3] = {"mk40", "mk32", "mach25"};
   for (int i = 0; i < 3; ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"rpc_sim_us\":%.4f,\"exception_sim_us\":%.4f,"
-                  "\"rpc_host_ns\":%.1f,\"exception_host_ns\":%.1f}",
-                  rpc[i].sim_us, exc[i].sim_us, rpc[i].host_ns, exc[i].host_ns);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "{\"rpc_sim_us\":%.4f,\"exception_sim_us\":%.4f}",
+                  rpc[i], exc[i]);
     json.MetricJson(model_names[i], buf);
   }
   json.Write();

@@ -1,10 +1,12 @@
 // Reproduces Table 4: "Component Costs" — the per-primitive cost of kernel
 // entry/exit, stack handoff and context switch.
 //
-// Two honest signals replace the paper's MIPS instruction counts (DESIGN.md):
-//   * measured host ns per operation, and
+// Two modeled signals replace the paper's MIPS instruction counts (DESIGN.md):
+//   * simulated machine cycles per operation (cycle model), and
 //   * the machine layer's modeled word loads/stores (real memory traffic it
 //     performs for each primitive).
+// Pinned, calibrated host ns for the same operations come from perfbench's
+// `transfer` workload (EXPERIMENTS.md).
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -20,7 +22,6 @@ namespace mkc {
 namespace {
 
 struct Probe {
-  double ns_per_op = 0.0;
   double cycles_per_op = 0.0;  // Simulated machine cycles (cycle model).
   CostCounters entry;
   CostCounters exit;
@@ -46,7 +47,7 @@ void YieldLoop(void* arg) {
   }
 }
 
-// ns per null system call (entry + exit pair).
+// Cycles per null system call (entry + exit pair).
 Probe MeasureNullSyscall(ControlTransferModel model, int iterations) {
   KernelConfig config;
   config.model = model;
@@ -55,11 +56,9 @@ Probe MeasureNullSyscall(ControlTransferModel model, int iterations) {
   LoopState st{iterations};
   kernel.CreateUserThread(task, &NullSyscallLoop, &st);
   kernel.ResetStats();
-  WallTimer timer;
   Ticks t0 = kernel.clock().Now();
   kernel.Run();
   Probe probe;
-  probe.ns_per_op = timer.Seconds() * 1e9 / iterations;
   probe.cycles_per_op =
       static_cast<double>(kernel.clock().Now() - t0) / static_cast<double>(iterations);
   probe.entry = kernel.cost_model().Get(CostOp::kSyscallEntry);
@@ -67,7 +66,7 @@ Probe MeasureNullSyscall(ControlTransferModel model, int iterations) {
   return probe;
 }
 
-// ns per thread-to-thread transfer: two yielding threads ping-pong the
+// Cycles per thread-to-thread transfer: two yielding threads ping-pong the
 // processor. Under MK40 each transfer is a stack handoff; under MK32 it is a
 // full context switch — isolating exactly the pair Table 4 compares.
 Probe MeasureTransfer(ControlTransferModel model, int iterations) {
@@ -79,12 +78,10 @@ Probe MeasureTransfer(ControlTransferModel model, int iterations) {
   kernel.CreateUserThread(task, &YieldLoop, &st);
   kernel.CreateUserThread(task, &YieldLoop, &st);
   kernel.ResetStats();
-  WallTimer timer;
   Ticks t0 = kernel.clock().Now();
   kernel.Run();
   Probe probe;
   // Two threads x iterations transfers (approximately).
-  probe.ns_per_op = timer.Seconds() * 1e9 / (2.0 * iterations);
   probe.cycles_per_op =
       static_cast<double>(kernel.clock().Now() - t0) / (2.0 * iterations);
   probe.handoff = kernel.cost_model().Get(CostOp::kStackHandoff);
@@ -106,14 +103,13 @@ void PrintModeled(const char* label, const CostCounters& c) {
 int Main(int argc, char** argv) {
   int iterations = 200000 * ScaleFromArgs(argc, argv, 1);
 
-  MeasureNullSyscall(ControlTransferModel::kMK40, iterations / 10);  // Warm.
   Probe mk40_syscall = MeasureNullSyscall(ControlTransferModel::kMK40, iterations);
   Probe mk32_syscall = MeasureNullSyscall(ControlTransferModel::kMK32, iterations);
   Probe mk40_transfer = MeasureTransfer(ControlTransferModel::kMK40, iterations / 2);
   Probe mk32_transfer = MeasureTransfer(ControlTransferModel::kMK32, iterations / 2);
 
   std::printf("Table 4: Component Costs\n");
-  std::printf("Paper (DS3100): instrs/loads/stores. Measured: host ns + modeled words.\n\n");
+  std::printf("Paper (DS3100): instrs/loads/stores. Measured: modeled cycles + words.\n\n");
 
   std::printf("Simulated machine cycles per end-to-end operation (cycle model):\n");
   std::printf("%-28s %10s %10s   paper MK40      paper MK32\n", "", "MK40", "MK32");
@@ -123,12 +119,6 @@ int Main(int argc, char** argv) {
   std::printf("%-28s %7.0f cyc %7.0f cyc   83i/22l/18s       250i/52l/27s\n",
               "yield transfer (handoff/switch)", mk40_transfer.cycles_per_op,
               mk32_transfer.cycles_per_op);
-  std::printf("\nHost wall clock per operation:\n");
-  std::printf("%-28s %12s %12s\n", "", "MK40", "MK32");
-  std::printf("%-28s %9.1f ns %9.1f ns\n", "null syscall (entry+exit)",
-              mk40_syscall.ns_per_op, mk32_syscall.ns_per_op);
-  std::printf("%-28s %9.1f ns %9.1f ns\n", "transfer (handoff/switch)",
-              mk40_transfer.ns_per_op, mk32_transfer.ns_per_op);
 
   std::printf("\nModeled machine-layer traffic (MK40 run):\n");
   PrintModeled("system call entry", mk40_syscall.entry);
