@@ -17,6 +17,7 @@
 #include "src/machine/trap.h"
 #include "src/obs/profiler.h"
 #include "src/obs/slo.h"
+#include "src/obs/snapshot.h"
 #include "src/obs/watchdog.h"
 #include "src/task/task.h"
 #include "src/vm/vm_system.h"
@@ -97,13 +98,16 @@ Kernel::Kernel(const KernelConfig& config)
   RegisterIpcRecognition(recognition_table_);
   RegisterExceptionRecognition(recognition_table_);
   VmSystem::RegisterRecognition(recognition_table_);
-  if (config_.profile_interval > 0 || config_.flight_interval > 0) {
-    profiler_ = std::make_unique<Profiler>(config_.profile_interval, config_.flight_interval);
+  if (config_.profile_interval > 0) {
+    profiler_ = std::make_unique<Profiler>(config_.profile_interval);
+  }
+  if (config_.snapshot_interval > 0) {
+    snapshots_ = std::make_unique<SnapshotEmitter>(config_.snapshot_interval);
   }
   if (config_.watchdog_threshold > 0) {
     watchdog_ = std::make_unique<StallWatchdog>(config_.watchdog_threshold);
   }
-  obs_tick_armed_ = profiler_ != nullptr || watchdog_ != nullptr;
+  obs_tick_armed_ = profiler_ != nullptr || snapshots_ != nullptr || watchdog_ != nullptr;
   // Per-continuation accounting follows the profiler: the recognition-rate
   // table (machcont_sim --report) is profiler output, and keeping the
   // counters dark otherwise preserves the zero-overhead-off guarantee.
@@ -111,7 +115,7 @@ Kernel::Kernel(const KernelConfig& config)
   if (config_.slo_window > 0) {
     SloConfig slo_config;
     slo_config.window = config_.slo_window;
-    slo_ = std::make_unique<SloTracker>(slo_config, config_.node_id);
+    slo_ = std::make_unique<SloTracker>(slo_config);
     // The "slo" block rides in the metrics dump only while armed, so a dump
     // with the plane off stays byte-identical to a pre-SLO build.
     metrics_.SetJsonBlock("slo",
@@ -120,7 +124,7 @@ Kernel::Kernel(const KernelConfig& config)
   // Spans run for the trace ring or the SLO tracker; with neither, span ids
   // stay 0 and every span site is one predictable branch.
   spans_armed_ = trace_.enabled() || slo_ != nullptr;
-  if (trace_.enabled() && config_.trace_tail_sample) {
+  if (trace_.enabled() && slo_ != nullptr) {
     TailSamplingConfig tail;
     tail.enabled = true;
     trace_.ConfigureTailSampling(tail);
@@ -448,6 +452,9 @@ void Kernel::ObsTickSlow() {
   }
   if (watchdog_ != nullptr) {
     watchdog_->Tick(*this);
+  }
+  if (snapshots_ != nullptr) {
+    snapshots_->Tick(*this);
   }
 }
 
@@ -939,9 +946,19 @@ std::uint32_t Kernel::SpanBegin(SpanKind kind) {
                 static_cast<std::uint32_t>(kind), t->span_parent, id,
                 static_cast<std::uint16_t>(current_cpu_->id));
   if (slo_ != nullptr) {
+    TickSnapshotsBeforeSlo();
     slo_->OnSpanBegin(id, kind, TraceNow());
   }
   return id;
+}
+
+void Kernel::TickSnapshotsBeforeSlo() {
+  // A snapshot reads the SLO window ending at its boundary, so every
+  // boundary the frontier has reached is taken before this span moves the
+  // tracker's ring past it.
+  if (snapshots_ != nullptr) {
+    snapshots_->Tick(*this);
+  }
 }
 
 void Kernel::SpanEnd(SpanKind kind) {
@@ -958,6 +975,7 @@ void Kernel::SpanEnd(SpanKind kind) {
   if (slo_ != nullptr) {
     // End-to-end latency comes from the tracker's own begin map, not
     // span_start (which SpanAdopt restarts mid-span for the watchdog).
+    TickSnapshotsBeforeSlo();
     slo_->OnSpanEnd(t->span_id, kind, TraceNow());
   }
   t->span_id = t->span_parent;

@@ -36,6 +36,7 @@ class DeviceRegistry;
 class NetIpc;
 class Kernel;
 class Profiler;
+class SnapshotEmitter;
 class StallWatchdog;
 class SloTracker;
 
@@ -108,34 +109,32 @@ struct KernelConfig {
   int nnodes = 1;
   int node_id = 0;
 
-  // --- Continuation-aware observability (src/obs/profiler.h, watchdog.h) --
-  // All three default to 0 = off; off, no profiler/watchdog object exists,
-  // the safe points pay one predictable branch, and every output is
-  // byte-identical to a build without the feature. The samplers are pure
-  // observers (no cycles charged), so turning them on changes no simulated
-  // outcome either — only what gets reported.
+  // --- Continuation-aware observability (src/obs/profiler.h, watchdog.h,
+  // snapshot.h) -----------------------------------------------------------
+  // All three default to 0 = off; off, no profiler/watchdog/emitter object
+  // exists, the safe points pay one predictable branch, and every output is
+  // byte-identical to a build without the feature. The observers are pure
+  // (no cycles charged), so turning them on changes no simulated outcome
+  // either — only what gets reported.
   Ticks profile_interval = 0;    // Virtual ticks between profiler samples.
-  Ticks flight_interval = 0;     // Virtual ticks between flight-recorder rows.
+  Ticks snapshot_interval = 0;   // Virtual ticks between snapshot rows.
   Ticks watchdog_threshold = 0;  // Stall age that makes the watchdog bark.
 
   // --- SLO telemetry plane (src/obs/slo.h) --------------------------------
   // slo_window > 0 arms the windowed-tail tracker: spans are measured even
   // with tracing off (spans_armed_), per-kind sliding-window p50/p99/p99.9,
   // violation counts and error-budget burn appear in the metrics JSON
-  // ("slo" block) and flight-recorder rows. Off (the default) the tracker
-  // does not exist and all output is byte-identical to a pre-SLO build.
-  // Like the profiler, the tracker charges no cycles: arming it never moves
-  // virtual time. Sub-windows, targets and objective are SloConfig's
-  // defaults.
+  // ("slo" block) and snapshot rows. Off (the default) the tracker does not
+  // exist and all output is byte-identical to a pre-SLO build. Like the
+  // profiler, the tracker charges no cycles: arming it never moves virtual
+  // time. Sub-windows, targets and objective are SloConfig's defaults.
+  //
+  // With both the tracker and the trace ring armed, the ring is tail-sampled
+  // (core/trace.h): it retains complete span chains only for the 1-in-N
+  // head sample and the K slowest requests of each kind, instead of letting
+  // the ring overwrite arbitrary prefixes (K, N and the per-chain cap are
+  // TailSamplingConfig's defaults).
   Ticks slo_window = 0;           // Sliding-window width; 0 = SLO plane off.
-
-  // --- Tail-based trace sampling (core/trace.h) ---------------------------
-  // With tracing on, retain complete span chains only for the 1-in-N head
-  // sample and the K slowest requests of each kind, instead of letting the
-  // ring overwrite arbitrary prefixes (K, N and the per-chain cap are
-  // TailSamplingConfig's defaults). Off, the ring behaves exactly as before
-  // (byte-identical traces).
-  bool trace_tail_sample = false;
 };
 
 // Stable pointers into the metrics registry for the hot-path latency
@@ -280,6 +279,7 @@ class Kernel {
   ContinuationRegistry& continuations() { return cont_registry_; }
   const ContinuationRegistry& continuations() const { return cont_registry_; }
   Profiler* profiler() { return profiler_.get(); }
+  SnapshotEmitter* snapshots() { return snapshots_.get(); }
   StallWatchdog* watchdog() { return watchdog_.get(); }
   SloTracker* slo() { return slo_.get(); }
   const SloTracker* slo() const { return slo_.get(); }
@@ -440,6 +440,7 @@ class Kernel {
   void RegisterMetrics();
   void RegisterContinuations();
   void ObsTickSlow();
+  void TickSnapshotsBeforeSlo();
   Thread* AllocateThread();
   [[noreturn]] void ReaperLoop();
 
@@ -484,11 +485,13 @@ class Kernel {
   MetricsRegistry metrics_;
   KernelLatencyMetrics lat_;
 
-  // Continuation-aware observability (src/obs/). The profiler and watchdog
-  // exist only when their config knobs are non-zero; obs_tick_armed_ and
-  // cont_accounting_ cache "is anything on?" for the inline fast paths.
+  // Continuation-aware observability (src/obs/). The profiler, snapshot
+  // emitter and watchdog exist only when their config knobs are non-zero;
+  // obs_tick_armed_ and cont_accounting_ cache "is anything on?" for the
+  // inline fast paths.
   ContinuationRegistry cont_registry_;
   std::unique_ptr<Profiler> profiler_;
+  std::unique_ptr<SnapshotEmitter> snapshots_;
   std::unique_ptr<StallWatchdog> watchdog_;
   std::unique_ptr<SloTracker> slo_;
   bool obs_tick_armed_ = false;

@@ -36,13 +36,13 @@ void WriteJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
-void WriteU64(std::string* out, std::uint64_t v) {
+}  // namespace
+
+void AppendU64(std::string* out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
   *out += buf;
 }
-
-}  // namespace
 
 Ticks LatencyHistogram::BucketUpperBound(int i) {
   if (i <= 0) {
@@ -178,7 +178,7 @@ std::string MetricsRegistry::DumpJsonString() const {
     first = false;
     WriteJsonString(&out, c.name);
     out += ":";
-    WriteU64(&out, *c.value);
+    AppendU64(&out, *c.value);
   }
   out += "},\"gauges\":{";
   first = true;
@@ -189,7 +189,7 @@ std::string MetricsRegistry::DumpJsonString() const {
     first = false;
     WriteJsonString(&out, g.name);
     out += ":";
-    WriteU64(&out, *g.value);
+    AppendU64(&out, *g.value);
   }
   out += "},\"histograms\":{";
   first = true;
@@ -201,21 +201,21 @@ std::string MetricsRegistry::DumpJsonString() const {
     WriteJsonString(&out, h.name);
     const LatencyHistogram hist = h.sources.empty() ? *h.hist : MaterializeMerged(h);
     out += ":{\"count\":";
-    WriteU64(&out, hist.count());
+    AppendU64(&out, hist.count());
     out += ",\"sum\":";
-    WriteU64(&out, hist.sum());
+    AppendU64(&out, hist.sum());
     out += ",\"min\":";
-    WriteU64(&out, hist.min());
+    AppendU64(&out, hist.min());
     out += ",\"max\":";
-    WriteU64(&out, hist.max());
+    AppendU64(&out, hist.max());
     out += ",\"p50\":";
-    WriteU64(&out, hist.P50());
+    AppendU64(&out, hist.P50());
     out += ",\"p90\":";
-    WriteU64(&out, hist.P90());
+    AppendU64(&out, hist.P90());
     out += ",\"p99\":";
-    WriteU64(&out, hist.P99());
+    AppendU64(&out, hist.P99());
     out += ",\"p999\":";
-    WriteU64(&out, hist.P999());
+    AppendU64(&out, hist.P999());
     out += ",\"buckets\":[";
     bool first_bucket = true;
     for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
@@ -227,11 +227,11 @@ std::string MetricsRegistry::DumpJsonString() const {
       }
       first_bucket = false;
       out += "[";
-      WriteU64(&out, LatencyHistogram::BucketLowerBound(i));
+      AppendU64(&out, LatencyHistogram::BucketLowerBound(i));
       out += ",";
-      WriteU64(&out, LatencyHistogram::BucketUpperBound(i));
+      AppendU64(&out, LatencyHistogram::BucketUpperBound(i));
       out += ",";
-      WriteU64(&out, hist.bucket(i));
+      AppendU64(&out, hist.bucket(i));
       out += "]";
     }
     out += "]}";

@@ -32,6 +32,10 @@
 
 namespace mkc {
 
+// Appends `v` in decimal: the one integer writer behind the registry dump,
+// the SLO blocks, snapshot rows and folded profiles.
+void AppendU64(std::string* out, std::uint64_t v);
+
 // Fixed-bucket log2 histogram of virtual-tick latencies.
 //
 // Bucket 0 holds the value 0; bucket i (i >= 1) holds values whose bit width

@@ -1,31 +1,17 @@
 #include "src/obs/profiler.h"
 
-#include <cstdio>
-
 #include "src/kern/kernel.h"
-#include "src/obs/slo.h"
 #include "src/obs/introspect.h"
+#include "src/obs/metrics.h"
 
 namespace mkc {
-namespace {
 
-void AppendU64(std::string* out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  *out += buf;
-}
-
-}  // namespace
-
-Profiler::Profiler(Ticks sample_interval, Ticks flight_interval)
-    : sample_interval_(sample_interval),
-      flight_interval_(flight_interval),
-      next_sample_(sample_interval),
-      next_flight_(flight_interval) {}
+Profiler::Profiler(Ticks sample_interval)
+    : sample_interval_(sample_interval), next_sample_(sample_interval) {}
 
 void Profiler::Tick(Kernel& kernel) {
   Ticks now = kernel.VirtualTime();
-  if (sample_interval_ > 0 && now >= next_sample_) {
+  if (now >= next_sample_) {
     // The frontier may have jumped several intervals past the last safe
     // point (a long user burst, an idle skip to a distant event). Each
     // elapsed interval is attributed to the *current* machine state — the
@@ -34,10 +20,6 @@ void Profiler::Tick(Kernel& kernel) {
     TakeSample(kernel, n * sample_interval_);
     samples_ += n;
     next_sample_ += n * sample_interval_;
-  }
-  if (flight_interval_ > 0 && now >= next_flight_) {
-    FlightSnapshot(kernel, now);
-    next_flight_ = (now / flight_interval_ + 1) * flight_interval_;
   }
 }
 
@@ -69,70 +51,6 @@ void Profiler::TakeSample(Kernel& kernel, std::uint64_t cycles) {
   }
 }
 
-void Profiler::FlightSnapshot(Kernel& kernel, Ticks now) {
-  std::string line = "{\"t\":";
-  AppendU64(&line, now);
-  line += ",\"node\":";
-  AppendU64(&line, static_cast<std::uint64_t>(kernel.config().node_id));
-  line += ",\"counters\":{";
-  bool first = true;
-  std::size_t i = 0;
-  kernel.metrics().ForEachCounter([&](const std::string& name, std::uint64_t v) {
-    if (prev_counters_.size() <= i) {
-      prev_counters_.resize(i + 1, 0);
-    }
-    // Counters can be zeroed under us (Kernel::ResetStats between runs);
-    // treat a backwards step as a fresh baseline.
-    std::uint64_t delta = v >= prev_counters_[i] ? v - prev_counters_[i] : v;
-    prev_counters_[i] = v;
-    ++i;
-    if (delta == 0) {
-      return;  // Deltas only: quiet counters cost no bytes.
-    }
-    if (!first) {
-      line += ',';
-    }
-    first = false;
-    line += '"';
-    line += name;
-    line += "\":";
-    AppendU64(&line, delta);
-  });
-  line += "},\"hist\":{";
-  first = true;
-  kernel.metrics().ForEachHistogram([&](const std::string& name,
-                                        const LatencyHistogram& h) {
-    if (h.count() == 0) {
-      return;
-    }
-    if (!first) {
-      line += ',';
-    }
-    first = false;
-    line += '"';
-    line += name;
-    line += "\":{\"count\":";
-    AppendU64(&line, h.count());
-    line += ",\"p50\":";
-    AppendU64(&line, h.P50());
-    line += ",\"p99\":";
-    AppendU64(&line, h.P99());
-    line += ",\"p999\":";
-    AppendU64(&line, h.P999());
-    line += '}';
-  });
-  line += "}";
-  if (kernel.slo() != nullptr) {
-    // Windowed tails ride the flight stream: each row carries the SLO
-    // plane's current sliding-window view (absent entirely when unarmed,
-    // keeping pre-SLO flight output byte-identical).
-    line += ",\"slo\":";
-    line += kernel.slo()->FlightFragment(now);
-  }
-  line += "}\n";
-  flight_ += line;
-}
-
 std::string Profiler::FoldedString(const std::string& prefix) const {
   std::string out;
   for (const auto& [key, cycles] : folded_) {
@@ -151,8 +69,6 @@ void Profiler::Reset() {
   folded_.clear();
   total_cycles_ = 0;
   samples_ = 0;
-  prev_counters_.clear();
-  flight_.clear();
 }
 
 }  // namespace mkc

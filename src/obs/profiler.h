@@ -1,4 +1,4 @@
-// Deterministic virtual-cycle sampling profiler and flight recorder.
+// Deterministic virtual-cycle sampling profiler.
 //
 // A conventional sampling profiler interrupts the CPU and walks the stack.
 // Neither half of that works here: the simulation has no asynchronous
@@ -19,20 +19,18 @@
 //    flamegraph.pl's input format; per-key cycle totals always sum to
 //    total_cycles().
 //
-// The flight recorder shares the tick: every flight_interval it appends one
-// JSONL line of MetricsRegistry counter *deltas* and histogram quantiles, so
-// trends (runq growth, zone-depot pressure, net.* resend storms) are visible
-// over virtual time instead of only as end-of-run totals.
+// The counter deltas and histogram quantiles over virtual time that used to
+// ride this tick are the snapshot stream's local sink (src/obs/snapshot.h).
 //
-// Both are pure observers — they never charge cycles or touch kernel state —
-// so turning them on changes no simulated outcome, only adds output.
+// The profiler is a pure observer — it never charges cycles or touches
+// kernel state — so turning it on changes no simulated outcome, only adds
+// output.
 #ifndef MACHCONT_SRC_OBS_PROFILER_H_
 #define MACHCONT_SRC_OBS_PROFILER_H_
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/base/types.h"
 
@@ -42,11 +40,10 @@ class Kernel;
 
 class Profiler {
  public:
-  // Either interval may be 0 to disable that half.
-  Profiler(Ticks sample_interval, Ticks flight_interval);
+  explicit Profiler(Ticks sample_interval);
 
   // Called from the kernel's observability safe points (Kernel::ObsTick).
-  // Cheap when nothing is due: one VirtualTime() read and two compares.
+  // Cheap when nothing is due: one VirtualTime() read and one compare.
   void Tick(Kernel& kernel);
 
   // Folded-stack profile, one "frames cycles" line per key, sorted by key.
@@ -60,28 +57,19 @@ class Profiler {
   std::uint64_t total_cycles() const { return total_cycles_; }
   std::uint64_t samples() const { return samples_; }
 
-  // Flight-recorder JSONL accumulated so far (may be empty).
-  const std::string& FlightJsonl() const { return flight_; }
-
   Ticks sample_interval() const { return sample_interval_; }
 
   void Reset();
 
  private:
   void TakeSample(Kernel& kernel, std::uint64_t cycles);
-  void FlightSnapshot(Kernel& kernel, Ticks now);
 
   Ticks sample_interval_;
-  Ticks flight_interval_;
   Ticks next_sample_;
-  Ticks next_flight_;
 
   std::map<std::string, std::uint64_t> folded_;
   std::uint64_t total_cycles_ = 0;
   std::uint64_t samples_ = 0;
-
-  std::vector<std::uint64_t> prev_counters_;  // Registration order.
-  std::string flight_;
 };
 
 }  // namespace mkc

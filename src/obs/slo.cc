@@ -6,12 +6,6 @@
 namespace mkc {
 namespace {
 
-void WriteU64(std::string* out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  *out += buf;
-}
-
 void WriteFixed2(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", v);
@@ -32,7 +26,7 @@ int KindIndex(SpanKind kind) {
   }
 }
 
-SloKindSnapshot Snapshot(const LatencyHistogram& hist, std::uint64_t violations) {
+SloKindSnapshot View(const LatencyHistogram& hist, std::uint64_t violations) {
   SloKindSnapshot s;
   s.count = hist.count();
   s.p50 = hist.P50();
@@ -57,15 +51,14 @@ const char* SloTracker::KindName(int kind) {
   }
 }
 
-SloTracker::SloTracker(const SloConfig& config, int node_id)
-    : SloTracker(config, node_id,
-                 {{"rpc", config.target_rpc},
-                  {"fault", config.target_fault},
-                  {"exception", config.target_exc}}) {}
+SloTracker::SloTracker(const SloConfig& config)
+    : SloTracker(config, {{"rpc", config.target_rpc},
+                          {"fault", config.target_fault},
+                          {"exception", config.target_exc}}) {}
 
-SloTracker::SloTracker(const SloConfig& config, int node_id,
+SloTracker::SloTracker(const SloConfig& config,
                        std::vector<std::pair<std::string, Ticks>> kinds)
-    : config_(config), node_id_(node_id) {
+    : config_(config) {
   if (config_.subwindows < 1) {
     config_.subwindows = 1;
   }
@@ -134,11 +127,6 @@ void SloTracker::AdvanceTo(Ticks now) {
   std::uint64_t n = static_cast<std::uint64_t>(config_.subwindows);
   while (cur_sub_ < target) {
     ++cur_sub_;
-    if (cur_sub_ % n == 0) {
-      // The ring now holds exactly the N sub-windows of one completed
-      // tumbling window; summarize it before the first slot is recycled.
-      EmitWindowLine(cur_sub_ / n - 1);
-    }
     for (KindState& k : kinds_) {
       k.ring[cur_sub_ % n] = SubWindow{};
     }
@@ -153,11 +141,11 @@ SloKindSnapshot SloTracker::WindowedKind(int kind, Ticks now) {
     merged.Merge(s.hist);
     violations += s.violations;
   }
-  return Snapshot(merged, violations);
+  return View(merged, violations);
 }
 
 SloKindSnapshot SloTracker::CumulativeKind(int kind) const {
-  return Snapshot(kinds_[kind].cumulative, kinds_[kind].cum_violations);
+  return View(kinds_[kind].cumulative, kinds_[kind].cum_violations);
 }
 
 double SloTracker::Burn(std::uint64_t violations, std::uint64_t count) const {
@@ -171,58 +159,20 @@ double SloTracker::Burn(std::uint64_t violations, std::uint64_t count) const {
   return violation_rate / (static_cast<double>(budget_permille) / 1000.0);
 }
 
-void SloTracker::AppendKindJson(std::string* out, int kind,
-                                const SloKindSnapshot& s, bool with_target) {
+void SloTracker::AppendKindJson(std::string* out, const SloKindSnapshot& s) {
   *out += "{\"count\":";
-  WriteU64(out, s.count);
+  AppendU64(out, s.count);
   *out += ",\"p50\":";
-  WriteU64(out, s.p50);
+  AppendU64(out, s.p50);
   *out += ",\"p99\":";
-  WriteU64(out, s.p99);
+  AppendU64(out, s.p99);
   *out += ",\"p999\":";
-  WriteU64(out, s.p999);
-  if (with_target) {
-    *out += ",\"target\":";
-    WriteU64(out, targets_[kind]);
-  }
+  AppendU64(out, s.p999);
   *out += ",\"violations\":";
-  WriteU64(out, s.violations);
+  AppendU64(out, s.violations);
   *out += ",\"burn\":";
   WriteFixed2(out, Burn(s.violations, s.count));
   *out += "}";
-}
-
-void SloTracker::EmitWindowLine(std::uint64_t window_index) {
-  std::uint64_t n = static_cast<std::uint64_t>(config_.subwindows);
-  std::string& out = window_jsonl_;
-  out += "{\"slo\":1,\"node\":";
-  WriteU64(&out, static_cast<std::uint64_t>(node_id_));
-  out += ",\"window\":";
-  WriteU64(&out, window_index);
-  out += ",\"t_end\":";
-  WriteU64(&out, (window_index + 1) * sub_ticks_ * n);
-  out += ",\"kinds\":{";
-  bool first = true;
-  for (int k = 0; k < kind_count(); ++k) {
-    LatencyHistogram merged;
-    std::uint64_t violations = 0;
-    for (const SubWindow& s : kinds_[k].ring) {
-      merged.Merge(s.hist);
-      violations += s.violations;
-    }
-    if (merged.count() == 0) {
-      continue;
-    }
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"";
-    out += kind_name(k);
-    out += "\":";
-    AppendKindJson(&out, k, Snapshot(merged, violations), /*with_target=*/true);
-  }
-  out += "}}\n";
 }
 
 std::string SloTracker::JsonBlock(Ticks now) {
@@ -230,13 +180,13 @@ std::string SloTracker::JsonBlock(Ticks now) {
   std::string out;
   out.reserve(512);
   out += "{\"config\":{\"window\":";
-  WriteU64(&out, config_.window);
+  AppendU64(&out, config_.window);
   out += ",\"subwindows\":";
-  WriteU64(&out, static_cast<std::uint64_t>(config_.subwindows));
+  AppendU64(&out, static_cast<std::uint64_t>(config_.subwindows));
   out += ",\"objective_permille\":";
-  WriteU64(&out, config_.objective_permille);
+  AppendU64(&out, config_.objective_permille);
   out += "},\"windows_completed\":";
-  WriteU64(&out, cur_sub_ / static_cast<std::uint64_t>(config_.subwindows));
+  AppendU64(&out, cur_sub_ / static_cast<std::uint64_t>(config_.subwindows));
   out += ",\"kinds\":{";
   for (int k = 0; k < kind_count(); ++k) {
     if (k != 0) {
@@ -245,50 +195,21 @@ std::string SloTracker::JsonBlock(Ticks now) {
     out += "\"";
     out += kind_name(k);
     out += "\":{\"target\":";
-    WriteU64(&out, targets_[k]);
+    AppendU64(&out, targets_[k]);
     out += ",\"cumulative\":";
-    AppendKindJson(&out, k, CumulativeKind(k), /*with_target=*/false);
+    AppendKindJson(&out, CumulativeKind(k));
     out += ",\"window\":";
-    AppendKindJson(&out, k, WindowedKind(k, now), /*with_target=*/false);
+    AppendKindJson(&out, WindowedKind(k, now));
     out += "}";
   }
   out += "}}";
   return out;
 }
 
-std::string SloTracker::FlightFragment(Ticks now) {
-  AdvanceTo(now);
-  std::string out = "{";
-  bool first = true;
-  for (int k = 0; k < kind_count(); ++k) {
-    SloKindSnapshot s = WindowedKind(k, now);
-    if (s.count == 0) {
-      continue;
-    }
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "\"";
-    out += kind_name(k);
-    out += "\":{\"count\":";
-    WriteU64(&out, s.count);
-    out += ",\"p99\":";
-    WriteU64(&out, s.p99);
-    out += ",\"p999\":";
-    WriteU64(&out, s.p999);
-    out += ",\"viol\":";
-    WriteU64(&out, s.violations);
-    out += "}";
-  }
-  out += "}";
-  return out;
-}
-
 std::string SloTracker::MergedJsonBlock(
     const std::vector<const SloTracker*>& nodes) {
   std::string out = "{\"nodes\":";
-  WriteU64(&out, nodes.size());
+  AppendU64(&out, nodes.size());
   out += ",\"kinds\":{";
   if (nodes.empty()) {
     out += "}}";
@@ -309,17 +230,17 @@ std::string SloTracker::MergedJsonBlock(
     out += "\"";
     out += first_node->kind_name(k);
     out += "\":{\"target\":";
-    WriteU64(&out, first_node->targets_[k]);
+    AppendU64(&out, first_node->targets_[k]);
     out += ",\"count\":";
-    WriteU64(&out, merged.count());
+    AppendU64(&out, merged.count());
     out += ",\"p50\":";
-    WriteU64(&out, merged.P50());
+    AppendU64(&out, merged.P50());
     out += ",\"p99\":";
-    WriteU64(&out, merged.P99());
+    AppendU64(&out, merged.P99());
     out += ",\"p999\":";
-    WriteU64(&out, merged.P999());
+    AppendU64(&out, merged.P999());
     out += ",\"violations\":";
-    WriteU64(&out, violations);
+    AppendU64(&out, violations);
     out += ",\"burn\":";
     WriteFixed2(&out, first_node->Burn(violations, merged.count()));
     out += "}";

@@ -10,9 +10,11 @@
 //   * A recorded latency lands in the sub-window its span *ended* in.
 //   * The sliding windowed view is the bucket-wise merge of the live
 //     sub-windows (width = window ticks, granularity = window/subwindows).
-//   * Each time the frontier crosses a full window boundary, one JSONL line
-//     summarizing the completed window is appended to WindowJsonl() — the
-//     flight-recorder-style stream `machcont_sim --slo-out` writes.
+//
+// Per-window output is the snapshot stream's (src/obs/snapshot.h): a
+// snapshot at boundary t reads WindowedKind(kind, t - 1), which with the
+// snapshot interval equal to the window is exactly the completed tumbling
+// window [t - window, t).
 //
 // Everything is integral virtual-tick arithmetic over deterministic span
 // events, so for a fixed (config, seed) every quantile, violation count and
@@ -46,7 +48,7 @@ struct SloConfig {
   std::uint32_t objective_permille = 990;
 };
 
-// A windowed or cumulative per-kind snapshot, for reports and the collector.
+// A windowed or cumulative per-kind view, for reports and snapshots.
 struct SloKindSnapshot {
   std::uint64_t count = 0;
   Ticks p50 = 0;
@@ -61,14 +63,13 @@ class SloTracker {
   // (SpanKind::kRpc..kException).
   static constexpr int kKinds = 3;
 
-  SloTracker(const SloConfig& config, int node_id);
+  explicit SloTracker(const SloConfig& config);
 
   // Custom-kind tracker: an arbitrary list of (name, latency target) kinds
   // recorded directly through Record() instead of the span hooks. The
   // service fabric's per-service-kind tails use this; the default ctor
   // remains byte-identical to the fixed three-kind tracker.
-  SloTracker(const SloConfig& config, int node_id,
-             std::vector<std::pair<std::string, Ticks>> kinds);
+  SloTracker(const SloConfig& config, std::vector<std::pair<std::string, Ticks>> kinds);
 
   // Span-layer hooks (Kernel::SpanBegin / SpanEnd). `now` is the machine
   // frontier (TraceNow), so windows advance monotonically.
@@ -79,8 +80,9 @@ class SloTracker {
   // tail): one latency sample of `kind` observed at frontier `now`.
   void Record(int kind, Ticks latency, Ticks now);
 
-  // Rolls the sub-window ring forward to `now`, emitting one JSONL line per
-  // completed window. Called implicitly by the hooks and the snapshots.
+  // Rolls the sub-window ring forward to `now`, recycling the slots of
+  // sub-windows that fell out of the window. Called implicitly by the hooks
+  // and the views.
   void AdvanceTo(Ticks now);
 
   // Sliding-window view of one kind at `now` (merge of the live sub-windows).
@@ -88,16 +90,9 @@ class SloTracker {
   // Whole-run view of one kind.
   SloKindSnapshot CumulativeKind(int kind) const;
 
-  // The per-completed-window JSONL stream accumulated so far.
-  const std::string& WindowJsonl() const { return window_jsonl_; }
-
   // The "slo" block for the metrics-JSON dump: config, cumulative and
   // windowed per-kind stats. Advances the ring to `now` first.
   std::string JsonBlock(Ticks now);
-
-  // Compact fragment for flight-recorder lines: {"rpc":{...},...} with only
-  // the populated kinds' windowed stats.
-  std::string FlightFragment(Ticks now);
 
   // Cluster-merged view: bucket-exact fold of every node's cumulative
   // histograms and violation counts (LatencyHistogram::Merge semantics, so
@@ -123,13 +118,10 @@ class SloTracker {
     std::vector<SubWindow> ring;  // subwindows slots, indexed by abs index % size.
   };
 
-  void EmitWindowLine(std::uint64_t window_index);
-  void AppendKindJson(std::string* out, int kind, const SloKindSnapshot& s,
-                      bool windowed_burn);
+  void AppendKindJson(std::string* out, const SloKindSnapshot& s);
   double Burn(std::uint64_t violations, std::uint64_t count) const;
 
   SloConfig config_;
-  int node_id_;
   Ticks sub_ticks_;
   std::vector<std::string> names_;
   std::vector<Ticks> targets_;
@@ -140,7 +132,6 @@ class SloTracker {
   // here rather than from Thread::span_start, which SpanAdopt restarts for
   // the watchdog's stuck-span clock.
   std::unordered_map<std::uint32_t, std::pair<Ticks, std::uint8_t>> open_;
-  std::string window_jsonl_;
 };
 
 }  // namespace mkc

@@ -89,7 +89,7 @@ struct SvcKindCounters {
 struct SvcNodeStats {
   SvcKindCounters kind[kServiceKindCount];
   // Node totals maintained alongside the per-kind rows — what the
-  // telemetry agent deltas against each sample window.
+  // snapshot emitter deltas against each window.
   std::uint64_t admitted_total = 0;
   std::uint64_t shed_total = 0;
 };

@@ -233,7 +233,7 @@ void OpenLoopEngine::BuildFrontend(Kernel& front) {
   for (int k = 0; k < kServiceKindCount; ++k) {
     kinds.emplace_back(ServiceKindName(k), params_.deadline);
   }
-  svc_slo_ = std::make_unique<SloTracker>(sc, /*node_id=*/0, std::move(kinds));
+  svc_slo_ = std::make_unique<SloTracker>(sc, std::move(kinds));
 
   arrivals_ = std::make_unique<ArrivalProcess>(params_);
 

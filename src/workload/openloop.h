@@ -177,8 +177,8 @@ class OpenLoopEngine {
   // The per-service-kind SLO tracker (kinds name/file/counter).
   SloTracker& svc_slo() { return *svc_slo_; }
 
-  // Telemetry hookup: node `i`'s fabric counters (null for non-serving
-  // nodes) and the frontend's backlog-depth gauge.
+  // Snapshot hookup (SnapshotEmitter::AttachSvc): node `i`'s fabric
+  // counters (null for non-serving nodes) and the frontend's backlog gauge.
   const SvcNodeStats* node_stats(int node) const;
   const std::uint64_t* backlog_gauge() const { return &backlog_depth_; }
 

@@ -1,8 +1,9 @@
-// The continuation-aware profiler, flight recorder, and stall watchdog.
+// The continuation-aware profiler, the snapshot stream's local sink, and the
+// stall watchdog.
 //
 // The properties under test are the ones the tools advertise:
 //  * determinism — a fixed (config, seed, interval) reproduces the folded
-//    profile and flight JSONL byte-identically;
+//    profile and snapshot JSONL byte-identically;
 //  * conservation — per-key folded cycle totals sum to total_cycles();
 //  * attribution — blocked threads sample as their registered continuation
 //    names, and the registry's counters reproduce the recognition rates;
@@ -17,6 +18,7 @@
 #include "src/kern/kernel.h"
 #include "src/obs/introspect.h"
 #include "src/obs/profiler.h"
+#include "src/obs/snapshot.h"
 #include "src/obs/watchdog.h"
 #include "src/task/task.h"
 #include "src/task/usermode.h"
@@ -71,7 +73,7 @@ TEST(ContinuationRegistryTest, AccountingAndRecognitionRate) {
 
 struct ProfileCapture {
   std::string folded;
-  std::string flight;
+  std::string snapshots;
   std::uint64_t total_cycles = 0;
   std::uint64_t samples = 0;
   std::uint64_t folded_sum = 0;
@@ -85,7 +87,7 @@ void CaptureProfile(Kernel& kernel, void* arg) {
   auto* cap = static_cast<ProfileCapture*>(arg);
   ASSERT_NE(kernel.profiler(), nullptr);
   cap->folded = kernel.profiler()->FoldedString();
-  cap->flight = kernel.profiler()->FlightJsonl();
+  cap->snapshots = kernel.snapshots()->Jsonl();
   cap->total_cycles = kernel.profiler()->total_cycles();
   cap->samples = kernel.profiler()->samples();
   for (const auto& [key, cycles] : kernel.profiler()->folded()) {
@@ -104,7 +106,7 @@ void CaptureProfile(Kernel& kernel, void* arg) {
 ProfileCapture RunProfiledCompile(std::uint64_t seed, int scale = 2) {
   KernelConfig config;
   config.profile_interval = 5000;
-  config.flight_interval = 50000;
+  config.snapshot_interval = 50000;
   WorkloadParams params;
   params.scale = scale;
   params.seed = seed;
@@ -129,7 +131,7 @@ TEST(ProfilerTest, ProfileIsDeterministicForFixedConfigSeedInterval) {
   ProfileCapture b = RunProfiledCompile(42);
   EXPECT_FALSE(a.folded.empty());
   EXPECT_EQ(a.folded, b.folded);
-  EXPECT_EQ(a.flight, b.flight);
+  EXPECT_EQ(a.snapshots, b.snapshots);
   EXPECT_EQ(a.total_cycles, b.total_cycles);
   // A different run length is a different schedule; the profile must move
   // too (guards against the profiler accidentally sampling nothing real).
@@ -158,17 +160,22 @@ TEST(ProfilerTest, RegistryReproducesReceiveRecognitionRate) {
   EXPECT_GT(cap.msg_rate, 0.9);
 }
 
-TEST(ProfilerTest, FlightRecorderEmitsJsonlSnapshots) {
+TEST(ProfilerTest, SnapshotLocalSinkEmitsJsonlRows) {
   ProfileCapture cap = RunProfiledCompile(42);
-  ASSERT_FALSE(cap.flight.empty());
-  // Every line is one JSON object with the fixed envelope.
+  ASSERT_FALSE(cap.snapshots.empty());
+  // Every line is one JSON object: the fixed fields, then the registry's
+  // counter deltas and histogram quantiles.
   std::size_t lines = 0;
   std::size_t start = 0;
-  while (start < cap.flight.size()) {
-    std::size_t end = cap.flight.find('\n', start);
+  while (start < cap.snapshots.size()) {
+    std::size_t end = cap.snapshots.find('\n', start);
     ASSERT_NE(end, std::string::npos);
-    std::string line = cap.flight.substr(start, end - start);
-    EXPECT_EQ(line.rfind("{\"t\":", 0), 0u) << line;
+    std::string line = cap.snapshots.substr(start, end - start);
+    EXPECT_EQ(line.rfind("{\"node\":0,\"seq\":" + std::to_string(lines) + ",\"t\":" +
+                             std::to_string((lines + 1) * 50000) + ",",
+                         0),
+              0u)
+        << line;
     EXPECT_NE(line.find("\"counters\":{"), std::string::npos);
     EXPECT_NE(line.find("\"hist\":{"), std::string::npos);
     EXPECT_EQ(line.back(), '}');
@@ -178,10 +185,46 @@ TEST(ProfilerTest, FlightRecorderEmitsJsonlSnapshots) {
   EXPECT_GT(lines, 1u);
 }
 
+// One long user burst crosses several boundaries with a single safe point
+// at its end: every row it crossed reports the step's utilization (the
+// only thread never lets the CPU idle), not just the first.
+struct Burst {
+  Ticks begin = 0;
+  Ticks end = 0;
+};
+
+void RunBurst(void* arg) {
+  auto* burst = static_cast<Burst*>(arg);
+  UserWork(300);
+  burst->begin = ActiveKernel().VirtualTime();
+  UserWork(4500);
+  burst->end = ActiveKernel().VirtualTime();
+  UserWork(300);
+}
+
+TEST(ProfilerTest, SnapshotBurstAcrossBoundariesKeepsUtilization) {
+  KernelConfig config;
+  config.snapshot_interval = 1000;
+  Kernel kernel(config);
+  Burst burst;
+  kernel.CreateUserThread(kernel.CreateTask("burst"), &RunBurst, &burst);
+  kernel.Run();
+  kernel.snapshots()->Tick(kernel);
+  int crossed = 0;
+  for (const Snapshot& s : kernel.snapshots()->taken()) {
+    if (s.t > burst.begin && s.t <= burst.end) {
+      EXPECT_EQ(s.util_permille, 1000u) << "boundary " << s.t;
+      ++crossed;
+    }
+  }
+  EXPECT_GE(crossed, 4);
+}
+
 TEST(ProfilerTest, ZeroConfigMeansNoObservers) {
   KernelConfig config;
   Kernel kernel(config);
   EXPECT_EQ(kernel.profiler(), nullptr);
+  EXPECT_EQ(kernel.snapshots(), nullptr);
   EXPECT_EQ(kernel.watchdog(), nullptr);
 }
 

@@ -1,6 +1,7 @@
 // The SLO telemetry plane: windowed-tail determinism and decay, cluster
 // merge exactness, adversarial quantiles, tail-based trace sampling with
-// exact accounting, and the in-band collector pipeline end to end.
+// exact accounting, snapshot rows carrying exactly each completed window,
+// and the snapshot stream's two sinks end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,9 @@
 #include "src/obs/collector.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/slo.h"
+#include "src/obs/snapshot.h"
+#include "src/task/task.h"
+#include "src/task/usermode.h"
 #include "src/workload/workload.h"
 
 namespace mkc {
@@ -25,65 +29,60 @@ void Span(SloTracker& t, std::uint32_t id, Ticks end, Ticks latency) {
 }
 
 // A latency recorded in one sub-window stays in the sliding windowed view
-// for exactly `subwindows` sub-window advances, then decays; the completed
-// window is summarized to the JSONL stream before its slots recycle.
+// for exactly `subwindows` sub-window advances, then decays.
 TEST(SloTest, SubWindowAdvanceAndDecay) {
   SloConfig config;
   config.window = 800;
   config.subwindows = 8;  // 100 ticks per sub-window.
   config.target_rpc = 40;
-  SloTracker t(config, /*node_id=*/0);
+  SloTracker t(config);
 
   Span(t, 1, /*end=*/60, /*latency=*/50);  // Lands in sub-window 0; violates.
   EXPECT_EQ(t.WindowedKind(0, 60).count, 1u);
   EXPECT_EQ(t.WindowedKind(0, 60).violations, 1u);
 
-  // Frontier at 750: seven advances, the slot is still live.
-  EXPECT_EQ(t.WindowedKind(0, 750).count, 1u);
-  EXPECT_TRUE(t.WindowJsonl().empty());
+  // Frontier at 799, the last tick of window 0: the ring holds exactly
+  // the completed window, which is what a snapshot at boundary 800 reads.
+  EXPECT_EQ(t.WindowedKind(0, 799).count, 1u);
+  EXPECT_EQ(t.WindowedKind(0, 799).violations, 1u);
 
   // Frontier crosses the window boundary: the record decays out of the
-  // sliding view, and window 0 is summarized exactly once.
+  // sliding view.
   EXPECT_EQ(t.WindowedKind(0, 850).count, 0u);
-  std::string jsonl = t.WindowJsonl();
-  EXPECT_NE(jsonl.find("\"window\":0"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"t_end\":800"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"rpc\":{\"count\":1"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"violations\":1"), std::string::npos);
   // Budget is 1% (objective 990); a 100% violation rate burns 100x.
-  EXPECT_NE(jsonl.find("\"burn\":100.00"), std::string::npos);
+  EXPECT_NE(t.JsonBlock(850).find("\"violations\":1,\"burn\":100.00"), std::string::npos);
 
   // Cumulative view never decays.
   EXPECT_EQ(t.CumulativeKind(0).count, 1u);
   EXPECT_EQ(t.CumulativeKind(0).violations, 1u);
 }
 
-// Identical event streams produce byte-identical JSONL and JSON blocks —
-// the determinism the two-run CI smoke relies on.
+// Identical event streams produce byte-identical JSON blocks — the
+// determinism the two-run ctest checks rely on.
 TEST(SloTest, IdenticalStreamsAreByteIdentical) {
   SloConfig config;
   config.window = 1000;
   config.subwindows = 4;
-  SloTracker a(config, 0);
-  SloTracker b(config, 0);
+  SloTracker a(config);
+  SloTracker b(config);
   for (std::uint32_t id = 1; id <= 200; ++id) {
     Ticks end = static_cast<Ticks>(id) * 37;
     Span(a, id, end, (id * 13) % 400);
     Span(b, id, end, (id * 13) % 400);
   }
-  EXPECT_EQ(a.WindowJsonl(), b.WindowJsonl());
-  EXPECT_FALSE(a.WindowJsonl().empty());
   EXPECT_EQ(a.JsonBlock(8000), b.JsonBlock(8000));
-  EXPECT_EQ(a.FlightFragment(8000), b.FlightFragment(8000));
+  for (Ticks now = 0; now <= 8000; now += 250) {
+    EXPECT_EQ(a.WindowedKind(0, now).p99, b.WindowedKind(0, now).p99);
+  }
 }
 
 // The cluster merge is bucket-exact: two shards folded together report the
 // same counts, violations and quantiles as one tracker that saw everything.
 TEST(SloTest, MergedViewMatchesSingleTracker) {
   SloConfig config;
-  SloTracker shard_a(config, 0);
-  SloTracker shard_b(config, 1);
-  SloTracker global(config, 0);
+  SloTracker shard_a(config);
+  SloTracker shard_b(config);
+  SloTracker global(config);
   for (std::uint32_t id = 1; id <= 100; ++id) {
     Ticks end = 100000 + static_cast<Ticks>(id) * 500;
     Ticks latency = (id % 10 == 0) ? 90000 : 120 + id;  // Tail every 10th.
@@ -111,7 +110,7 @@ TEST(SloTest, MergedViewMatchesSingleTracker) {
 TEST(SloTest, P999SurfacesRareOutliers) {
   SloConfig config;
   config.window = 1u << 30;  // Everything in one window.
-  SloTracker t(config, 0);
+  SloTracker t(config);
   std::uint32_t id = 1;
   for (int i = 0; i < 998; ++i) {
     Span(t, id++, 2000000 + static_cast<Ticks>(i), 100);
@@ -126,8 +125,13 @@ TEST(SloTest, P999SurfacesRareOutliers) {
   EXPECT_EQ(s.violations, 2u);   // Only the outliers exceed 25000.
 }
 
-// Arming the SLO tracker must not move the simulation by a single tick:
-// span bookkeeping happens outside the cycle model.
+// Arming the SLO tracker or the snapshot stream's local sink must not move
+// the simulation by a single tick: span bookkeeping and snapshots happen
+// outside the cycle model.
+void CountSnapshotRows(Kernel& kernel, void* arg) {
+  *static_cast<std::uint64_t*>(arg) = kernel.snapshots()->taken().size();
+}
+
 TEST(SloTest, SloArmedDoesNotPerturbVirtualTime) {
   WorkloadParams params;
   params.scale = 1;
@@ -142,6 +146,99 @@ TEST(SloTest, SloArmedDoesNotPerturbVirtualTime) {
   EXPECT_EQ(r_off.virtual_time, r_slo.virtual_time);
   EXPECT_EQ(r_off.ipc.messages_sent, r_slo.ipc.messages_sent);
   EXPECT_EQ(r_off.transfer.total_blocks, r_slo.transfer.total_blocks);
+
+  for (Ticks window : {Ticks{0}, Ticks{200000}}) {
+    KernelConfig snap;
+    snap.slo_window = window;
+    snap.snapshot_interval = 50000;
+    std::uint64_t rows = 0;
+    WorkloadParams p = params;
+    p.post_run = &CountSnapshotRows;
+    p.post_run_arg = &rows;
+    WorkloadReport r_snap = RunServerFarmWorkload(snap, p);
+    EXPECT_EQ(r_off.virtual_time, r_snap.virtual_time) << "slo_window " << window;
+    EXPECT_EQ(r_off.ipc.messages_sent, r_snap.ipc.messages_sent);
+    EXPECT_EQ(r_off.transfer.total_blocks, r_snap.transfer.total_blocks);
+    EXPECT_GE(rows, r_snap.virtual_time / 50000 - 1);  // The sink really ran.
+  }
+}
+
+// A user thread running rpc spans of known latency, ending at known ticks.
+struct SpanSource {
+  Kernel* kernel = nullptr;
+  Ticks window = 0;
+  std::vector<std::pair<Ticks, Ticks>> ended;  // (end tick, latency).
+};
+
+void RunSpans(void* arg) {
+  auto* d = static_cast<SpanSource*>(arg);
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    // Mostly short spans, every 17th one 3 windows long (it violates the
+    // 25000-tick target and crosses boundaries mid-span); the gaps between
+    // spans vary so ends fall anywhere in a window.
+    const Ticks latency = i % 17 == 0 ? 30000 : 100 + (i * 37) % 3000;
+    const Ticks begin = d->kernel->VirtualTime();
+    d->kernel->SpanBegin(SpanKind::kRpc);
+    UserWork(latency);
+    if (i % 5 == 0) {
+      // Kernel-path cycles with no safe point in between: the span ends
+      // just past the next boundary, which only the span hook can
+      // snapshot before the tracker's ring moves past it.
+      const Ticks now = d->kernel->VirtualTime();
+      d->kernel->clock().Advance((now / d->window + 1) * d->window + 7 - now);
+    }
+    d->kernel->SpanEnd(SpanKind::kRpc);
+    const Ticks end = d->kernel->VirtualTime();
+    d->ended.emplace_back(end, end - begin);
+    UserWork((i * 53) % 5000);
+  }
+}
+
+// With the snapshot interval equal to the SLO window, every row's SLO
+// section is exactly the completed tumbling window [t - window, t): the
+// same count, quantiles and violations as an oracle histogram over the
+// spans that ended in it.
+TEST(SloTest, SnapshotRowsCarryExactlyEachCompletedWindow) {
+  constexpr Ticks kWindow = 10000;
+  KernelConfig config;
+  config.slo_window = kWindow;
+  config.snapshot_interval = kWindow;
+  Kernel kernel(config);
+  SpanSource spans;
+  spans.kernel = &kernel;
+  spans.window = kWindow;
+  kernel.CreateUserThread(kernel.CreateTask("spans"), &RunSpans, &spans);
+  kernel.Run();
+  ASSERT_NE(kernel.snapshots(), nullptr);
+  kernel.snapshots()->Tick(kernel);
+
+  const std::vector<Snapshot>& rows = kernel.snapshots()->taken();
+  ASSERT_EQ(rows.size(), kernel.VirtualTime() / kWindow);
+  std::vector<LatencyHistogram> oracle(rows.size());
+  std::vector<std::uint64_t> violations(rows.size());
+  for (const auto& [end, latency] : spans.ended) {
+    if (end / kWindow < rows.size()) {
+      oracle[end / kWindow].Record(latency);
+      violations[end / kWindow] += latency > kernel.slo()->target(0) ? 1 : 0;
+    }
+  }
+  std::uint64_t total = 0;
+  std::uint64_t total_violations = 0;
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    const Snapshot& s = rows[j];
+    EXPECT_EQ(s.seq, j);
+    EXPECT_EQ(s.t, (j + 1) * kWindow);
+    ASSERT_NE(s.sections & kSnapSlo, 0u);
+    EXPECT_EQ(s.slo[0].count, oracle[j].count()) << "window " << j;
+    EXPECT_EQ(s.slo[0].p50, oracle[j].P50()) << "window " << j;
+    EXPECT_EQ(s.slo[0].p99, oracle[j].P99()) << "window " << j;
+    EXPECT_EQ(s.slo[0].p999, oracle[j].P999()) << "window " << j;
+    EXPECT_EQ(s.slo[0].violations, violations[j]) << "window " << j;
+    total += s.slo[0].count;
+    total_violations += s.slo[0].violations;
+  }
+  EXPECT_GT(total, 250u);
+  EXPECT_GT(total_violations, 10u);
 }
 
 // Tail sampling retains exactly the deterministic heads plus the K slowest
@@ -246,13 +343,16 @@ TEST(SloTest, AnalyzerFlagsSuspectSpansAfterOverflow) {
   EXPECT_EQ(analysis.spans[0].id, 2u);
 }
 
-// The whole in-band pipeline on a lossy two-node cluster, twice: telemetry
-// rows, per-window JSONL, the merged SLO block and the node metrics must be
-// byte-identical run to run, and the table renderer must see the rows.
-TEST(SloTest, ClusterTelemetryPipelineIsByteDeterministic) {
+// The whole in-band pipeline on a lossy two-node cluster, twice: both sinks
+// of the snapshot stream (each node's local rows and the collector's rows),
+// the merged SLO block and the node metrics must be byte-identical run to
+// run; the collector's rows must be the emitters' own snapshots; and the
+// table renderer must see them.
+TEST(SloTest, ClusterSnapshotSinksAreByteDeterministicAndAgree) {
   struct RunResult {
     std::string rows;
-    std::string windows;
+    std::string local;
+    std::string fixed;  // The emitters' snapshots rendered without extras.
     std::string merged;
     std::string metrics0;
     std::uint64_t rpcs = 0;
@@ -261,14 +361,12 @@ TEST(SloTest, ClusterTelemetryPipelineIsByteDeterministic) {
     KernelConfig config;
     config.seed = 42;
     config.slo_window = 50000;
+    config.snapshot_interval = 20000;
     config.trace_capacity = 4096;
-    config.trace_tail_sample = true;
     LinkConfig link;
     link.drop_per_mille = 10;
     Cluster cluster(config, 2, link);
-    TelemetryConfig tc;
-    tc.interval = 20000;
-    TelemetryPlane plane(cluster, tc);
+    TelemetryPlane plane(cluster);
     ClusterRpcParams params;
     params.scale = 1;
     params.pre_drain = &TelemetryPlane::PreDrainHook;
@@ -277,7 +375,12 @@ TEST(SloTest, ClusterTelemetryPipelineIsByteDeterministic) {
 
     RunResult out;
     out.rows = plane.Rows();
-    out.windows = cluster.node(0).slo()->WindowJsonl();
+    for (int i = 0; i < 2; ++i) {
+      out.local += cluster.node(i).snapshots()->Jsonl();
+      for (const Snapshot& s : cluster.node(i).snapshots()->taken()) {
+        AppendSnapshotRow(&out.fixed, s);
+      }
+    }
     out.merged = SloTracker::MergedJsonBlock(
         {cluster.node(0).slo(), cluster.node(1).slo()});
     out.metrics0 = cluster.node(0).metrics().DumpJsonString();
@@ -290,19 +393,34 @@ TEST(SloTest, ClusterTelemetryPipelineIsByteDeterministic) {
   EXPECT_GT(first.rpcs, 0u);
   EXPECT_EQ(first.rpcs, second.rpcs);
   EXPECT_EQ(first.rows, second.rows);
-  EXPECT_EQ(first.windows, second.windows);
+  EXPECT_EQ(first.local, second.local);
   EXPECT_EQ(first.merged, second.merged);
   EXPECT_EQ(first.metrics0, second.metrics0);
 
   ASSERT_FALSE(first.rows.empty());
-  EXPECT_NE(first.rows.find("\"telemetry\":1"), std::string::npos);
-  EXPECT_NE(first.rows.find("\"node\":1"), std::string::npos);  // Remote agent
-  EXPECT_NE(first.rows.find("\"slo\""), std::string::npos);     // ...with slo.
+  EXPECT_NE(first.rows.find("{\"node\":1,"), std::string::npos);  // Remote agent
+  EXPECT_NE(first.rows.find("\"slo\""), std::string::npos);       // ...with slo.
   EXPECT_NE(first.metrics0.find("\"slo\""), std::string::npos);
 
-  std::string table = FormatTelemetryTable(first.rows);
+  // Every collector row is one of the emitters' snapshots, byte for byte,
+  // and the local row for the same (node, seq) is that same row: with the
+  // in-band sink attached the local rows carry no registry sections.
+  std::size_t rows = 0;
+  for (std::size_t at = 0; at < first.rows.size(); ++rows) {
+    const std::size_t nl = first.rows.find('\n', at);
+    ASSERT_NE(nl, std::string::npos);
+    const std::string row = first.rows.substr(at, nl + 1 - at);
+    at = nl + 1;
+    EXPECT_NE(first.fixed.find(row), std::string::npos) << row;
+    EXPECT_NE(first.local.find(row), std::string::npos) << row;
+  }
+  EXPECT_GT(rows, 4u);
+  EXPECT_EQ(first.local.find("\"counters\""), std::string::npos);
+  EXPECT_EQ(first.local, first.fixed);
+
+  std::string table = FormatSnapshotTable(first.rows);
   EXPECT_NE(table.find("rpc_p99"), std::string::npos);
-  EXPECT_EQ(table.find("(no telemetry rows)"), std::string::npos);
+  EXPECT_EQ(table.find("(no snapshot rows)"), std::string::npos);
 }
 
 }  // namespace

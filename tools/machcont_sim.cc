@@ -20,8 +20,9 @@
 //     --metrics-json=FILE|-          write the metrics registry as JSON
 //     --profile=N                    virtual-cycle sampling profiler, period N
 //     --profile-out=FILE|-           write the folded-stack profile
-//     --flight=N                     flight recorder snapshot period N
-//     --flight-out=FILE|-            write the flight recorder JSONL
+//     --snapshot=N                   per-node snapshot period N (default: the
+//                                    SLO window with --slo, else 50000)
+//     --snapshot-out=FILE|-          write the snapshot rows (JSONL)
 //     --watchdog=N                   stall watchdog threshold N ticks
 //     --nodes=N                      simulated machines     (default 1)
 //     --drop=RATE                    network drop probability [0,1)
@@ -29,14 +30,12 @@
 //     --slo                          arm the windowed SLO tracker (8 sub-windows;
 //                                    targets rpc 25000, fault/exc 12000 ticks)
 //     --slo-window=N                 SLO sliding window width (implies --slo)
-//     --slo-out=FILE|-               write per-window SLO JSONL (implies --slo)
-//     --tail-sample                  tail-sample the trace ring: 8 slowest spans
-//                                    per kind plus a 1-in-64 head sample (auto
-//                                    with --slo + --trace; --no-tail-sample
-//                                    opts out)
-//     --telemetry=N                  in-band telemetry agents, period N
-//                                    (cluster only; requires --nodes >= 2)
-//     --telemetry-out=FILE|-         write the collector's JSONL rows
+//                                    (--slo with --trace tail-samples the trace
+//                                    ring: 8 slowest spans per kind plus a
+//                                    1-in-64 head sample)
+//     --telemetry                    ship the snapshots in-band to a node-0
+//                                    collector, whose rows --snapshot-out then
+//                                    writes (requires --nodes >= 2)
 //     --openloop=RATE                open-loop service-fabric mode: RATE
 //                                    arrivals per Mtick against the sharded
 //                                    services (replaces --workload)
@@ -79,6 +78,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/slo.h"
+#include "src/obs/snapshot.h"
 #include "src/obs/trace_export.h"
 #include "src/obs/watchdog.h"
 #include "src/svc/service.h"
@@ -99,12 +99,10 @@ int Usage(const char* argv0) {
                "          [--no-handoff] [--no-recognition]\n"
                "          [--table] [--hist] [--report]\n"
                "          [--trace=N] [--trace-out=FILE|-] [--metrics-json=FILE|-]\n"
-               "          [--profile=N] [--profile-out=FILE|-] [--flight=N]\n"
-               "          [--flight-out=FILE|-] [--watchdog=N]\n"
+               "          [--profile=N] [--profile-out=FILE|-] [--watchdog=N]\n"
+               "          [--snapshot=N] [--snapshot-out=FILE|-] [--telemetry]\n"
                "          [--nodes=N] [--drop=RATE] [--reorder=RATE]\n"
-               "          [--slo] [--slo-window=N] [--slo-out=FILE|-]\n"
-               "          [--tail-sample] [--no-tail-sample]\n"
-               "          [--telemetry=N] [--telemetry-out=FILE|-]\n"
+               "          [--slo] [--slo-window=N]\n"
                "          [--openloop=RATE] [--arrival=poisson|bursty]\n"
                "          [--services=SPEC] [--shed-depth=N]\n",
                argv0);
@@ -114,10 +112,9 @@ int Usage(const char* argv0) {
 enum class Mode { kWorkload, kCluster, kOpenLoop };
 
 // The files a run can write, indexed by their flags below.
-enum Output { kMetrics, kTrace, kProfile, kFlight, kSlo, kTelemetry, kOutputs };
-const char* const kOutputFlags[kOutputs] = {"--metrics-json=", "--trace-out=",
-                                            "--profile-out=",  "--flight-out=",
-                                            "--slo-out=",      "--telemetry-out="};
+enum Output { kMetrics, kTrace, kProfile, kSnapshot, kOutputs };
+const char* const kOutputFlags[kOutputs] = {"--metrics-json=", "--trace-out=", "--profile-out=",
+                                            "--snapshot-out="};
 
 // One command line: the kernel configuration, the run mode and its
 // parameters, and what to report.
@@ -129,7 +126,7 @@ struct Scenario {
   Mode mode = Mode::kWorkload;
   int nodes = 1;
   mkc::LinkConfig link;
-  mkc::Ticks telemetry_interval = 0;
+  bool telemetry = false;
   mkc::OpenLoopParams openloop;
   bool table = false;
   bool hist = false;
@@ -198,7 +195,6 @@ bool Parse(int argc, char** argv, Scenario* sc) {
   sc->params.scale = 5;
   bool trace_capacity_set = false;
   bool slo = false;
-  bool no_tail_sample = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const std::string value = arg.substr(arg.find('=') + 1);
@@ -243,8 +239,8 @@ bool Parse(int argc, char** argv, Scenario* sc) {
       trace_capacity_set = true;
     } else if (UintFlag(arg, "--profile=", 1, kU64Max, &v, &bad)) {
       config.profile_interval = v;
-    } else if (UintFlag(arg, "--flight=", 1, kU64Max, &v, &bad)) {
-      config.flight_interval = v;
+    } else if (UintFlag(arg, "--snapshot=", 1, kU64Max, &v, &bad)) {
+      config.snapshot_interval = v;
     } else if (UintFlag(arg, "--watchdog=", 1, kU64Max, &v, &bad)) {
       config.watchdog_threshold = v;
     } else if (UintFlag(arg, "--nodes=", 1, 64, &v, &bad)) {
@@ -257,12 +253,8 @@ bool Parse(int argc, char** argv, Scenario* sc) {
       slo = true;
     } else if (UintFlag(arg, "--slo-window=", 1, kU64Max, &v, &bad)) {
       config.slo_window = v;
-    } else if (arg == "--tail-sample") {
-      config.trace_tail_sample = true;
-    } else if (arg == "--no-tail-sample") {
-      no_tail_sample = true;
-    } else if (UintFlag(arg, "--telemetry=", 1, kU64Max, &v, &bad)) {
-      sc->telemetry_interval = v;
+    } else if (arg == "--telemetry") {
+      sc->telemetry = true;
     } else if (UintFlag(arg, "--openloop=", 1, kU64Max, &v, &bad)) {
       sc->openloop.rate = v;
       sc->mode = Mode::kOpenLoop;
@@ -301,25 +293,16 @@ bool Parse(int argc, char** argv, Scenario* sc) {
   if ((!sc->out[kProfile].empty() || sc->report) && config.profile_interval == 0) {
     config.profile_interval = 5000;
   }
-  if (!sc->out[kFlight].empty() && config.flight_interval == 0) {
-    config.flight_interval = 50000;
-  }
-  // --slo with no explicit window gets the default sliding window; arming
-  // SLO alongside a trace ring turns on tail sampling so long traces stay
-  // bounded (--no-tail-sample opts back into the raw ring).
-  if ((slo || !sc->out[kSlo].empty()) && config.slo_window == 0) {
+  // --slo with no explicit window gets the default sliding window.
+  if (slo && config.slo_window == 0) {
     config.slo_window = 200000;
   }
-  if (config.slo_window > 0 && config.trace_capacity > 0) {
-    config.trace_tail_sample = true;
+  // Snapshots default to one per SLO window, so each row's SLO section is
+  // one completed window.
+  if ((!sc->out[kSnapshot].empty() || sc->telemetry) && config.snapshot_interval == 0) {
+    config.snapshot_interval = config.slo_window > 0 ? config.slo_window : 50000;
   }
-  if (no_tail_sample) {
-    config.trace_tail_sample = false;
-  }
-  if (!sc->out[kTelemetry].empty() && sc->telemetry_interval == 0) {
-    sc->telemetry_interval = 100000;
-  }
-  if (sc->telemetry_interval > 0 && sc->nodes < 2) {
+  if (sc->telemetry && sc->nodes < 2) {
     std::fprintf(stderr, "machcont_sim: --telemetry requires --nodes >= 2\n");
     return false;
   }
@@ -383,8 +366,9 @@ void Render(const Scenario& sc, const std::vector<Kernel*>& nodes, const char* b
       // runs shorter than one — still make the end-of-run report.
       k.watchdog()->Scan(k);
     }
-    if (k.slo() != nullptr) {
-      k.slo()->AdvanceTo(k.VirtualTime());
+    if (k.snapshots() != nullptr) {
+      k.snapshots()->Tick(k);  // Boundaries the run's last step reached.
+      out->files[kSnapshot] += k.snapshots()->Jsonl();
     }
     if (k.trace().overwritten() > 0) {
       Appendf(&out->warnings, "machcont_sim: warning: %strace ring overflowed; %llu oldest "
@@ -478,10 +462,6 @@ void Render(const Scenario& sc, const std::vector<Kernel*>& nodes, const char* b
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (const mkc::Profiler* prof = nodes[i]->profiler()) {
       out->files[kProfile] += prof->FoldedString(cluster ? "node" + std::to_string(i) + ";" : "");
-      out->files[kFlight] += prof->FlightJsonl();
-    }
-    if (nodes[i]->slo() != nullptr) {
-      out->files[kSlo] += nodes[i]->slo()->WindowJsonl();
     }
   }
 }
@@ -510,8 +490,9 @@ int Emit(const Scenario& sc, const std::string& head, const std::string& tail, R
   std::fputs(out.warnings.c_str(), stderr);
   std::fputs(out.reports.c_str(), sc.human);
   if (telemetry != nullptr) {
-    std::fprintf(sc.human, "\n%s", mkc::FormatTelemetryTable(telemetry->Rows()).c_str());
-    out.files[kTelemetry] = telemetry->Rows();
+    // The collector's rows replace the local sink's.
+    std::fprintf(sc.human, "\n%s", mkc::FormatSnapshotTable(telemetry->Rows()).c_str());
+    out.files[kSnapshot] = telemetry->Rows();
   }
   bool ok = true;
   for (int o = 0; o < kOutputs; ++o) {
@@ -622,10 +603,8 @@ int RunCluster(const Scenario& sc) {
   mkc::ClusterRpcParams cp;
   cp.scale = sc.params.scale;
   std::unique_ptr<mkc::TelemetryPlane> telemetry;
-  if (sc.telemetry_interval > 0) {
-    mkc::TelemetryConfig tc;
-    tc.interval = sc.telemetry_interval;
-    telemetry = std::make_unique<mkc::TelemetryPlane>(cluster, tc);
+  if (sc.telemetry) {
+    telemetry = std::make_unique<mkc::TelemetryPlane>(cluster);
     cp.pre_drain = &mkc::TelemetryPlane::PreDrainHook;
     cp.pre_drain_arg = telemetry.get();
   }
@@ -706,25 +685,29 @@ int RunOpenLoop(const Scenario& sc) {
   if (sc.nodes > 1) {
     cluster = std::make_unique<mkc::Cluster>(sc.config, sc.nodes, sc.link);
     engine = std::make_unique<mkc::OpenLoopEngine>(*cluster, op);
-    if (sc.telemetry_interval > 0) {
-      mkc::TelemetryConfig tc;
-      tc.interval = sc.telemetry_interval;
-      telemetry = std::make_unique<mkc::TelemetryPlane>(*cluster, tc);
-      for (int i = 0; i < sc.nodes; ++i) {
-        telemetry->AttachSvc(i, engine->node_stats(i), i == 0 ? engine->backlog_gauge() : nullptr);
-      }
+    nodes = NodeKernels(*cluster, sc.nodes);
+    if (sc.telemetry) {
+      telemetry = std::make_unique<mkc::TelemetryPlane>(*cluster);
     }
+  } else {
+    kernel = std::make_unique<Kernel>(sc.config);
+    engine = std::make_unique<mkc::OpenLoopEngine>(*kernel, op);
+    nodes.push_back(kernel.get());
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (mkc::SnapshotEmitter* snapshots = nodes[i]->snapshots()) {
+      snapshots->AttachSvc(engine->node_stats(static_cast<int>(i)),
+                           i == 0 ? engine->backlog_gauge() : nullptr);
+    }
+  }
+  if (cluster != nullptr) {
     cluster->Run();
     if (telemetry != nullptr) {
       telemetry->Stop();
     }
     cluster->Drain();
-    nodes = NodeKernels(*cluster, sc.nodes);
   } else {
-    kernel = std::make_unique<Kernel>(sc.config);
-    engine = std::make_unique<mkc::OpenLoopEngine>(*kernel, op);
     kernel->Run();
-    nodes.push_back(kernel.get());
   }
   const mkc::OpenLoopReport rep = engine->Finish();
   const mkc::SvcNodeStats svc = engine->TotalSvcStats();

@@ -1,20 +1,21 @@
-// machcont_top: renders a telemetry collector stream as a table over time.
+// machcont_top: renders a snapshot stream as a table over time.
 //
-// Consumes the JSONL written by `machcont_sim --nodes=N --telemetry-out=...`
-// (one row per telemetry report received by the node-0 collector) and prints
-// a per-sample, per-node table: CPU utilization, run-queue depth, packet and
-// retransmit deltas, windowed rpc tail latencies, SLO violations, stalls.
+// Consumes the JSONL written by `machcont_sim --snapshot-out=...` (one row
+// per node per snapshot boundary, from the local sink or, with --telemetry,
+// the node-0 collector) and prints a per-boundary, per-node table: CPU
+// utilization, run-queue depth, packet and retransmit deltas, windowed rpc
+// tail latencies, SLO violations, stalls, and service columns when present.
 //
 // Usage:
 //   machcont_top ROWS.jsonl      (or `-` for stdin)
 //
 // Exits 0 when the input was readable, 1 otherwise. An input with no
-// telemetry rows prints the header and "(no telemetry rows)".
+// snapshot rows prints the header and "(no snapshot rows)".
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "src/obs/collector.h"
+#include "src/obs/snapshot.h"
 
 namespace {
 
@@ -56,6 +57,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%s", mkc::FormatTelemetryTable(rows).c_str());
+  std::printf("%s", mkc::FormatSnapshotTable(rows).c_str());
   return 0;
 }
